@@ -30,7 +30,13 @@ from .model import (
     RunRecord,
     SolverConfig,
 )
-from .solver import IterationSetup, bandwidth_at, draw_minibatch, run_implicit_loop
+from .solver import (
+    IterationSetup,
+    _evaluate,
+    bandwidth_at,
+    draw_minibatch,
+    run_implicit_loop,
+)
 
 _DENSITY_FLOOR = 1e-300
 
@@ -59,12 +65,6 @@ def _check_init(init_particles) -> np.ndarray:
     if init.ndim != 2 or not np.all(np.isfinite(init)):
         raise InvalidArgumentError("init_particles must be a finite N x d matrix")
     return init
-
-
-def _evaluate(evaluator, particles) -> Tuple[float, float]:
-    if evaluator is None:
-        return math.nan, math.nan
-    return evaluator.evaluate(particles)
 
 
 def _grad_log_density(target: DensityTarget, particles: np.ndarray) -> np.ndarray:
@@ -199,10 +199,10 @@ def energy_distance_run(
 
     def setup_for(n: int) -> IterationSetup:
         batch = draw_minibatch(target, batch_rng)
-        value_fn, vg_fn = empirical_closures(batch, kernel)
+        _, vg_fn = empirical_closures(batch, kernel)
         m = batch.shape[0]
         batch_const = -float(pairwise_distances(batch, batch).sum()) / (m * m)
-        return IterationSetup(value_fn, vg_fn, h_n=math.nan, report_offset=batch_const)
+        return IterationSetup(vg_fn, h_n=math.nan, report_offset=batch_const)
 
     return run_implicit_loop(
         init,

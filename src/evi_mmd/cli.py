@@ -27,6 +27,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (
     ConfigError,
     DatasetError,
+    EviMmdError,
     InvalidArgumentError,
     NumericalFailureError,
 )
@@ -159,9 +160,10 @@ def main(argv: Optional[list] = None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
                 partial_path = os.path.join(out_dir, RUN_RECORD_FILE)
                 io_csv.write_run_record(exc.partial_record, partial_path)
+            except (EviMmdError, OSError) as write_exc:
+                print(f"could not write partial run record: {write_exc}", file=sys.stderr)
+            else:
                 print(f"partial run record written to {partial_path}", file=sys.stderr)
-            except Exception:
-                pass
         return EXIT_NUMERICAL
 
 

@@ -10,6 +10,16 @@ Two target branches share the particle-particle "square term":
 * empirical branch: the cross term is a plain double sum against the current
   mini-batch of training rows.
 
+Each branch has one value-and-gradient implementation, the second closure
+of :func:`density_closures` / :func:`empirical_closures`; the solver calls it
+once per trial point.  It builds each kernel matrix once and, on the density
+branch, makes one fused density/gradient sweep over the probes.  The
+value-only ops (:func:`square_term`, :func:`cross_term_density`,
+:func:`cross_term_empirical`, and :func:`free_energy` built from them) are
+kept apart as the reference the gradient is tested against and for recording
+objective values; :func:`grad_free_energy` delegates to the branch's
+value-and-gradient closure.
+
 Because the constant term is dropped, values can be negative; they differ
 from the full squared discrepancy by a constant (see :mod:`evi_mmd.metrics`
 for the full version used in reporting).
@@ -23,7 +33,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _check_matrix, gram, cross_gram, pairwise_distances, squared_distances
+from .kernels import _check_matrix, cross_gram, gram, pairwise_distances
 from .model import (
     GAUSSIAN,
     NEGATIVE_EUCLIDEAN,
@@ -97,13 +107,17 @@ def cross_term_density(
     return c_h / noise.n_samples * float(vals.sum())
 
 
-def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
-    """Data cross term (1/L) sum_i sum_j K(x_i, y_j) over the mini-batch."""
-    particles = _check_matrix(particles, "particles")
+def _check_batch(batch) -> np.ndarray:
     batch = np.asarray(batch, dtype=float)
     if batch.size == 0:
         raise InvalidArgumentError("mini-batch must be nonempty")
-    batch = _check_matrix(batch, "batch")
+    return _check_matrix(batch, "batch")
+
+
+def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
+    """Data cross term (1/L) sum_i sum_j K(x_i, y_j) over the mini-batch."""
+    particles = _check_matrix(particles, "particles")
+    batch = _check_batch(batch)
     return float(cross_gram(particles, batch, kernel).sum()) / batch.shape[0]
 
 
@@ -116,36 +130,11 @@ def _require_density_kernel(kernel: KernelConfig) -> float:
     return kernel.bandwidth
 
 
-def free_energy(
-    particles,
-    target,
-    kernel: KernelConfig,
-    *,
-    noise: Optional[McNoise] = None,
-    batch: Optional[np.ndarray] = None,
-) -> float:
-    """Objective value -(2/N) * cross_term + square_term for either branch.
-
-    Density targets need ``noise`` (and a Gaussian kernel); empirical targets
-    use ``batch`` when given and all training rows otherwise.
-    """
-    particles = _check_matrix(particles, "particles")
-    n = particles.shape[0]
-    if isinstance(target, DensityTarget):
-        h = _require_density_kernel(kernel)
-        if noise is None:
-            raise InvalidArgumentError("density branch requires frozen McNoise")
-        cross = cross_term_density(particles, target, h, noise)
-    elif isinstance(target, EmpiricalTarget):
-        rows = target.data if batch is None else batch
-        cross = cross_term_empirical(particles, rows, kernel)
-    else:
-        raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
-    return -2.0 / n * cross + square_term(particles, kernel)
-
-
-def _square_term_grad(particles: np.ndarray, kernel: KernelConfig) -> np.ndarray:
-    """Row i: (2/N^2) sum_j d/dx_i K(x_i, x_j)."""
+def _square_term_and_grad(
+    particles: np.ndarray, kernel: KernelConfig
+) -> Tuple[float, np.ndarray]:
+    """:func:`square_term` and its gradient, whose row i is
+    (2/N^2) sum_j d/dx_i K(x_i, x_j)."""
     n = particles.shape[0]
     if kernel.kind == GAUSSIAN:
         w = gram(particles, kernel)
@@ -153,10 +142,10 @@ def _square_term_grad(particles: np.ndarray, kernel: KernelConfig) -> np.ndarray
         weighted = particles * w.sum(axis=1)[:, None] - np.einsum(
             "ij,jd->id", w, particles
         )
-        return -2.0 / (n * n * h2) * weighted
+        return float(w.sum()) / (n * n), -2.0 / (n * n * h2) * weighted
     if kernel.kind == NEGATIVE_EUCLIDEAN:
         units = _unit_differences(particles, particles, zero_diagonal=True)
-        return -2.0 / (n * n) * units.sum(axis=1)
+        return square_term(particles, kernel), -2.0 / (n * n) * units.sum(axis=1)
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 
@@ -173,20 +162,104 @@ def _unit_differences(a: np.ndarray, b: np.ndarray, zero_diagonal: bool) -> np.n
     return units
 
 
-def _cross_term_empirical_grad(
-    particles: np.ndarray, batch: np.ndarray, kernel: KernelConfig
-) -> np.ndarray:
-    """Row i: sum_j d/dx_i K(x_i, y_j) / L."""
+ValueFn = Callable[[np.ndarray], float]
+ValueGradFn = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+
+
+def density_closures(
+    target: DensityTarget, kernel: KernelConfig, noise: McNoise
+) -> Tuple[ValueFn, ValueGradFn]:
+    """Value and value+gradient closures over the particle matrix for the
+    density branch.  The value+gradient closure makes one density/gradient
+    sweep over the Monte-Carlo probes and builds the Gram matrix once."""
+    h = _require_density_kernel(kernel)
+    if noise is None:
+        raise InvalidArgumentError("density branch requires frozen McNoise")
+
+    def value(x: np.ndarray) -> float:
+        x = _check_matrix(x, "particles")
+        cross = cross_term_density(x, target, h, noise)
+        return -2.0 / x.shape[0] * cross + square_term(x, kernel)
+
+    def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        n, d = x.shape
+        probes = _density_probes(x, h, noise)
+        if target.density_and_grad is not None:
+            vals, grads = target.density_and_grad(probes)
+        elif target.grad_density is None:
+            raise UnsupportedOperationError("target does not provide grad_density")
+        else:
+            vals, grads = target.density(probes), target.grad_density(probes)
+        scale = gaussian_normalizer(d, h) / noise.n_samples
+        cross = scale * float(np.asarray(vals, dtype=float).sum())
+        cross_grad = scale * np.asarray(grads, dtype=float).reshape(n, -1, d).sum(axis=1)
+        square, square_grad = _square_term_and_grad(x, kernel)
+        return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+    return value, value_and_grad
+
+
+def empirical_closures(
+    batch: np.ndarray, kernel: KernelConfig
+) -> Tuple[ValueFn, ValueGradFn]:
+    """Value and value+gradient closures for the empirical branch with one
+    fixed mini-batch.  The value+gradient closure builds the Gram and the
+    particle-batch matrix once each."""
+    batch = _check_batch(batch)
     m = batch.shape[0]
-    if kernel.kind == GAUSSIAN:
-        w = cross_gram(particles, batch, kernel)
-        h2 = kernel.bandwidth**2
-        weighted = particles * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, batch)
-        return -weighted / (h2 * m)
-    if kernel.kind == NEGATIVE_EUCLIDEAN:
-        units = _unit_differences(particles, batch, zero_diagonal=False)
-        return -units.sum(axis=1) / m
-    raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
+
+    def value(x: np.ndarray) -> float:
+        x = _check_matrix(x, "particles")
+        cross = cross_term_empirical(x, batch, kernel)
+        return -2.0 / x.shape[0] * cross + square_term(x, kernel)
+
+    def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        n = x.shape[0]
+        if kernel.kind == GAUSSIAN:
+            w = cross_gram(x, batch, kernel)
+            h2 = kernel.bandwidth**2
+            weighted = x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, batch)
+            cross, cross_grad = float(w.sum()) / m, -weighted / (h2 * m)
+        elif kernel.kind == NEGATIVE_EUCLIDEAN:
+            units = _unit_differences(x, batch, zero_diagonal=False)
+            cross, cross_grad = cross_term_empirical(x, batch, kernel), -units.sum(axis=1) / m
+        else:
+            raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
+        square, square_grad = _square_term_and_grad(x, kernel)
+        return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+    return value, value_and_grad
+
+
+def _closures(
+    target, kernel: KernelConfig, noise: Optional[McNoise], batch: Optional[np.ndarray]
+) -> Tuple[ValueFn, ValueGradFn]:
+    """The closure pair of ``target``'s branch."""
+    if isinstance(target, DensityTarget):
+        return density_closures(target, kernel, noise)
+    if isinstance(target, EmpiricalTarget):
+        return empirical_closures(target.data if batch is None else batch, kernel)
+    raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
+
+
+def free_energy(
+    particles,
+    target,
+    kernel: KernelConfig,
+    *,
+    noise: Optional[McNoise] = None,
+    batch: Optional[np.ndarray] = None,
+) -> float:
+    """Objective value -(2/N) * cross_term + square_term for either branch,
+    computed from the value-only terms above.
+
+    Density targets need ``noise`` (and a Gaussian kernel); empirical targets
+    use ``batch`` when given and all training rows otherwise.
+    """
+    value, _ = _closures(target, kernel, noise, batch)
+    return value(particles)
 
 
 def grad_free_energy(
@@ -197,86 +270,8 @@ def grad_free_energy(
     noise: Optional[McNoise] = None,
     batch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Gradient of :func:`free_energy` with respect to the particle matrix."""
+    """Gradient of :func:`free_energy` with respect to the particle matrix,
+    from the branch's value+gradient closure."""
     particles = _check_matrix(particles, "particles")
-    n = particles.shape[0]
-    if isinstance(target, DensityTarget):
-        h = _require_density_kernel(kernel)
-        if noise is None:
-            raise InvalidArgumentError("density branch requires frozen McNoise")
-        if target.grad_density is None:
-            raise UnsupportedOperationError("target does not provide grad_density")
-        probes = _density_probes(particles, h, noise)
-        g = np.asarray(target.grad_density(probes), dtype=float)
-        g = g.reshape(n, noise.n_samples, particles.shape[1]).sum(axis=1)
-        c_h = gaussian_normalizer(particles.shape[1], h)
-        cross_grad = c_h / noise.n_samples * g
-    elif isinstance(target, EmpiricalTarget):
-        rows = target.data if batch is None else np.asarray(batch, dtype=float)
-        if rows.size == 0:
-            raise InvalidArgumentError("mini-batch must be nonempty")
-        rows = _check_matrix(rows, "batch")
-        cross_grad = _cross_term_empirical_grad(particles, rows, kernel)
-    else:
-        raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
-    return -2.0 / n * cross_grad + _square_term_grad(particles, kernel)
-
-
-ValueFn = Callable[[np.ndarray], float]
-ValueGradFn = Callable[[np.ndarray], Tuple[float, np.ndarray]]
-
-
-def density_closures(
-    target: DensityTarget, kernel: KernelConfig, noise: McNoise
-) -> Tuple[ValueFn, ValueGradFn]:
-    """Value and fused value+gradient closures over the particle matrix for
-    the density branch.  The fused path reuses one density/gradient sweep
-    over the Monte-Carlo probes."""
-    h = _require_density_kernel(kernel)
-
-    def value(x: np.ndarray) -> float:
-        return free_energy(x, target, kernel, noise=noise)
-
-    fused = target.density_and_grad
-
-    def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        n, d = x.shape
-        probes = _density_probes(x, h, noise)
-        if fused is not None:
-            vals, grads = fused(probes)
-        else:
-            vals, grads = target.density(probes), target.grad_density(probes)
-        c_h = gaussian_normalizer(d, h)
-        scale = c_h / noise.n_samples
-        cross = scale * float(np.asarray(vals, dtype=float).sum())
-        cross_grad = scale * np.asarray(grads, dtype=float).reshape(n, -1, d).sum(axis=1)
-        val = -2.0 / n * cross + square_term(x, kernel)
-        grad = -2.0 / n * cross_grad + _square_term_grad(x, kernel)
-        return val, grad
-
-    return value, value_and_grad
-
-
-def empirical_closures(
-    batch: np.ndarray, kernel: KernelConfig
-) -> Tuple[ValueFn, ValueGradFn]:
-    """Value and fused value+gradient closures for the empirical branch with
-    one fixed mini-batch."""
-    batch = _check_matrix(np.asarray(batch, dtype=float), "batch")
-
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        return -2.0 / n * cross_term_empirical(x, batch, kernel) + square_term(x, kernel)
-
-    def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        val = -2.0 / n * cross_term_empirical(x, batch, kernel) + square_term(x, kernel)
-        grad = -2.0 / n * _cross_term_empirical_grad(x, batch, kernel) + _square_term_grad(
-            x, kernel
-        )
-        return val, grad
-
-    return value, value_and_grad
+    _, value_and_grad = _closures(target, kernel, noise, batch)
+    return value_and_grad(particles)[1]

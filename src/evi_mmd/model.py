@@ -199,7 +199,6 @@ class SolverConfig:
     lbfgs_memory: int = 10
     lbfgs_max_inner: int = 50
     lbfgs_grad_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.tau_star) or self.tau_star <= 0:
@@ -218,13 +217,8 @@ class SolverConfig:
             raise InvalidArgumentError(
                 f"lbfgs_grad_tol must be > 0, got {self.lbfgs_grad_tol!r}"
             )
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise InvalidArgumentError(
-                f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
-            )
         object.__setattr__(self, "mc_samples", int(self.mc_samples))
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

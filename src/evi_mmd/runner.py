@@ -147,7 +147,6 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
             tau_star=cfg.tau_star,
             mc_samples=cfg.L,
             max_iter=cfg.max_iter,
-            seed=cfg.seed,
         )
 
         def on_iteration(info):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -67,9 +67,13 @@ def auto_schedule(init_particles, b: float, c: float) -> BandwidthSchedule:
 
 
 def proximal_objective(
-    candidate, anchor, tau_star: float, free_energy_fn: Callable[[np.ndarray], float]
-) -> float:
-    """J_n: quadratic proximity to the anchor plus the free energy."""
+    candidate,
+    anchor,
+    tau_star: float,
+    value_and_grad_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+) -> Tuple[float, np.ndarray]:
+    """J_n and its gradient: quadratic proximity to the anchor plus the free
+    energy, whose value and gradient ``value_and_grad_fn`` returns."""
     candidate = np.asarray(candidate, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     if candidate.shape != anchor.shape:
@@ -79,8 +83,10 @@ def proximal_objective(
     if tau_star <= 0:
         raise InvalidArgumentError(f"tau_star must be > 0, got {tau_star!r}")
     n = candidate.shape[0]
-    prox = float(np.sum((candidate - anchor) ** 2)) / (2.0 * tau_star * n)
-    return prox + free_energy_fn(candidate)
+    f, grad = value_and_grad_fn(candidate)
+    diff = candidate - anchor
+    scale = 1.0 / (2.0 * tau_star * n)
+    return scale * float(np.sum(diff**2)) + f, grad + diff / (tau_star * n)
 
 
 class LbfgsState:
@@ -94,8 +100,6 @@ class LbfgsState:
     def __init__(self, memory: int):
         self.memory = memory
         self.pairs: List[Tuple[np.ndarray, np.ndarray, float]] = []
-        self.iteration = 0
-        self.last_value = math.nan
 
     def push(self, step: np.ndarray, grad_diff: np.ndarray) -> bool:
         sy = float(np.dot(step, grad_diff))
@@ -140,22 +144,21 @@ def lbfgs_minimize(
     fun_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     start,
     config: SolverConfig,
-    *,
-    value_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> LbfgsResult:
     """Minimize a smooth objective from ``start`` with L-BFGS plus Armijo
     backtracking.
 
     ``fun_and_grad`` returns (value, gradient) at a point of the same shape
-    as ``start``; ``value_fn``, when given, is a cheaper value-only evaluation
-    used inside the line search.  Terminates when the gradient sup-norm drops
-    to ``config.lbfgs_grad_tol`` or after ``config.lbfgs_max_inner`` accepted
-    steps; a stalled line search returns the current (still monotone) iterate.
+    as ``start``.  It is called once at the start and once per trial point of
+    the line search; an accepted trial keeps the gradient computed there.
+    Terminates when the gradient sup-norm drops to ``config.lbfgs_grad_tol``
+    or after ``config.lbfgs_max_inner`` accepted steps; a stalled line search
+    returns the current (still monotone) iterate.
 
     Raises :class:`NumericalFailureError` when the objective or gradient is
     non-finite at the start or at an accepted point; the error carries the
-    last finite iterate.  Non-finite values at rejected trial points merely
-    shorten the step.
+    last finite iterate.  A non-finite value at a trial point merely shortens
+    the step.
     """
     x = np.array(start, dtype=float)
     shape = x.shape
@@ -164,13 +167,6 @@ def lbfgs_minimize(
     def fused(flat: np.ndarray) -> Tuple[float, np.ndarray]:
         value, grad = fun_and_grad(flat.reshape(shape))
         return float(value), np.asarray(grad, dtype=float).ravel()
-
-    if value_fn is None:
-        def trial_value(flat: np.ndarray) -> float:
-            return fused(flat)[0]
-    else:
-        def trial_value(flat: np.ndarray) -> float:
-            return float(value_fn(flat.reshape(shape)))
 
     f, g = fused(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
@@ -195,25 +191,22 @@ def lbfgs_minimize(
         accepted = None
         while alpha >= _LS_MIN_STEP:
             candidate = x + alpha * direction
-            f_trial = trial_value(candidate)
-            if np.isfinite(f_trial) and f_trial <= f + _LS_SUFFICIENT_DECREASE * alpha * slope:
+            f_new, g_new = fused(candidate)
+            if np.isfinite(f_new) and f_new <= f + _LS_SUFFICIENT_DECREASE * alpha * slope:
                 accepted = candidate
                 break
             alpha *= _LS_CONTRACTION
         if accepted is None:
             break  # stall: keep the current iterate, descent holds trivially
 
-        f_new, g_new = fused(accepted)
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
+        if not np.all(np.isfinite(g_new)):
             raise NumericalFailureError(
-                "objective or gradient non-finite at an accepted step",
+                "gradient non-finite at an accepted step",
                 last_iterate=x.reshape(shape),
             )
         state.push(accepted - x, g_new - g)
         x, f, g = accepted, f_new, g_new
         iterations += 1
-        state.iteration = iterations
-        state.last_value = f
 
     return LbfgsResult(
         x=x.reshape(shape), value=f, iterations=iterations, start_value=start_value
@@ -235,6 +228,7 @@ class IterationInfo:
 
 
 def _evaluate(evaluator, particles: np.ndarray) -> Tuple[float, float]:
+    """Evaluation metrics of ``particles``, or NaNs without an evaluator."""
     if evaluator is None:
         return math.nan, math.nan
     return evaluator.evaluate(particles)
@@ -243,7 +237,6 @@ def _evaluate(evaluator, particles: np.ndarray) -> Tuple[float, float]:
 def implicit_step(
     anchor: np.ndarray,
     tau_star: float,
-    value_fn: Callable[[np.ndarray], float],
     value_and_grad_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     config: SolverConfig,
 ) -> Tuple[np.ndarray, float, float, int]:
@@ -251,32 +244,25 @@ def implicit_step(
 
     Returns (new particles, J at anchor, J at the result, inner iterations).
     """
-    n = anchor.shape[0]
-    scale = 1.0 / (2.0 * tau_star * n)
-
-    def j_value(x: np.ndarray) -> float:
-        return scale * float(np.sum((x - anchor) ** 2)) + value_fn(x)
 
     def j_value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        f, grad = value_and_grad_fn(x)
-        diff = x - anchor
-        return scale * float(np.sum(diff**2)) + f, grad + diff / (tau_star * n)
+        return proximal_objective(x, anchor, tau_star, value_and_grad_fn)
 
-    result = lbfgs_minimize(j_value_and_grad, anchor, config, value_fn=j_value)
+    result = lbfgs_minimize(j_value_and_grad, anchor, config)
     # J at the anchor equals the bare free energy there (zero proximity term).
     return result.x, result.start_value, result.value, result.iterations
 
 
 @dataclass(frozen=True)
 class IterationSetup:
-    """Objective closures and reporting constants for one outer iteration.
+    """Free-energy value-and-gradient closure and reporting constants for one
+    outer iteration.
 
     ``report_offset`` is added to the recorded free energy only (e.g. the
     batch-constant term of the energy distance); it never enters the
     optimization.
     """
 
-    value_fn: Callable[[np.ndarray], float]
     value_and_grad_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]]
     h_n: float = math.nan
     report_offset: float = 0.0
@@ -303,7 +289,7 @@ def run_implicit_loop(
         setup = setup_for(n)
         try:
             new_particles, j_anchor, j_final, inner = implicit_step(
-                particles, tau_star, setup.value_fn, setup.value_and_grad_fn, config
+                particles, tau_star, setup.value_and_grad_fn, config
             )
         except NumericalFailureError as exc:
             raise NumericalFailureError(
@@ -386,8 +372,8 @@ def evi_mmd_run(
         def setup_for(n: int) -> IterationSetup:
             h_n = bandwidth_at(schedule, n)
             kernel = KernelConfig.gaussian(h_n)
-            value_fn, vg_fn = density_closures(target, kernel, noise)
-            return IterationSetup(value_fn, vg_fn, h_n=h_n)
+            _, vg_fn = density_closures(target, kernel, noise)
+            return IterationSetup(vg_fn, h_n=h_n)
 
     elif isinstance(target, EmpiricalTarget):
 
@@ -395,8 +381,8 @@ def evi_mmd_run(
             h_n = bandwidth_at(schedule, n)
             kernel = KernelConfig.gaussian(h_n)
             batch = draw_minibatch(target, batch_rng)
-            value_fn, vg_fn = empirical_closures(batch, kernel)
-            return IterationSetup(value_fn, vg_fn, h_n=h_n)
+            _, vg_fn = empirical_closures(batch, kernel)
+            return IterationSetup(vg_fn, h_n=h_n)
 
     return run_implicit_loop(
         init,

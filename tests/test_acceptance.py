@@ -162,13 +162,20 @@ class TestCriterion2:
             kernel = em.KernelConfig.gaussian(1.0)
             target = em.EmpiricalTarget(batch, minibatch_size=6)
 
-            def j(x):
-                return em.proximal_objective(
-                    x, anchor, tau, lambda z: em.free_energy(z, target, kernel, batch=batch)
+            def value_and_grad(z):
+                return (
+                    em.free_energy(z, target, kernel, batch=batch),
+                    em.grad_free_energy(z, target, kernel, batch=batch),
                 )
 
-            analytic = (pts - anchor) / (tau * 4) + em.grad_free_energy(
-                pts, target, kernel, batch=batch
+            def j(x):
+                return em.proximal_objective(x, anchor, tau, value_and_grad)[0]
+
+            _, analytic = em.proximal_objective(pts, anchor, tau, value_and_grad)
+            np.testing.assert_array_equal(
+                analytic,
+                (pts - anchor) / (tau * 4)
+                + em.grad_free_energy(pts, target, kernel, batch=batch),
             )
             worst = max(worst, self._max_rel_err(analytic, self._fd(j, pts)))
         report(2, worst < 1e-5, f"proximal gradient max rel err {worst:.2e}")

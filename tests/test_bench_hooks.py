@@ -1,0 +1,43 @@
+"""The benchmark's traced mode replaces names in the package's modules by
+lookup (see ``bench/tracing.py``).  A tiny traced run keeps a rename of a
+hooked name from silently breaking ``bench/run.py --trace 1``."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CHILD = os.path.join(ROOT, "bench", "child.py")
+
+
+def test_traced_child_run(tmp_path):
+    raw = {
+        "method": "evi_mmd",
+        "target": "eight",
+        "N": 20,
+        "L": 20,
+        "maxIter": 2,
+        "n_reference": 100,
+        "seed": 3,
+        "out_dir": str(tmp_path / "run"),
+    }
+    result_path = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, CHILD, ROOT, "trace", str(result_path), json.dumps(raw)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        # leave no bytecode cache beside the benchmark's sources
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["failures"] == []
+    counts = result["trace"]["counts"]
+    assert counts["free_energy.value_and_grad.calls"] > 0
+    assert "free_energy.value.calls" not in counts
+    # one objective evaluation at the start of each inner solve, one per trial
+    assert counts["solver.evals"] == (
+        counts["solver.trial_evals"] + counts["solver.lbfgs_minimize.calls"]
+    )

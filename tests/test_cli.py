@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
-from evi_mmd.cli import EXIT_CONFIG, EXIT_DATA, main
+import evi_mmd.cli
+from evi_mmd.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, main
+from evi_mmd.errors import NumericalFailureError
 from evi_mmd.io import load_dataset_csv, read_particles_csv, read_run_record_csv
 from evi_mmd.metrics import energy_distance, mmd2_two_sample
-from evi_mmd.model import KernelConfig
+from evi_mmd.model import IterationRow, KernelConfig, RunRecord
 
 
 def write_cfg(tmp_path, name="cfg.yaml", **overrides):
@@ -106,6 +108,51 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         record = read_run_record_csv(str(tmp_path / "out" / "run_record.csv"))
         assert len(record) == 6
+
+
+class TestNumericalFailure:
+    @staticmethod
+    def _fail_after_two_rows(monkeypatch):
+        rows = tuple(
+            IterationRow(
+                n=n,
+                h_n=1.0 / n,
+                free_energy=-0.5,
+                mmd2_eval=0.1,
+                energy_dist_eval=0.2,
+                inner_iters=3,
+                displacement=0.01,
+            )
+            for n in (1, 2)
+        )
+
+        def failing_run(cfg):
+            raise NumericalFailureError(
+                "inner solve failed at outer iteration 3", partial_record=RunRecord(rows)
+            )
+
+        monkeypatch.setattr(evi_mmd.cli, "run_experiment", failing_run)
+        return RunRecord(rows)
+
+    def test_partial_record_written(self, tmp_path, monkeypatch, capsys):
+        expected = self._fail_after_two_rows(monkeypatch)
+        cfg_path = write_cfg(tmp_path)
+        assert main(["run", str(cfg_path)]) == EXIT_NUMERICAL
+        path = tmp_path / "out" / "run_record.csv"
+        assert read_run_record_csv(str(path)) == expected
+        err = capsys.readouterr().err
+        assert f"partial run record written to {path}" in err
+
+    def test_partial_record_write_failure_is_reported(self, tmp_path, monkeypatch, capsys):
+        self._fail_after_two_rows(monkeypatch)
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("occupied")
+        cfg_path = write_cfg(tmp_path, out_dir=str(blocker))
+        assert main(["run", str(cfg_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "could not write partial run record: " in err
+        assert "partial run record written" not in err
+        assert blocker.read_text() == "occupied"
 
 
 class TestSampleTargetCommand:

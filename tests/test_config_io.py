@@ -39,6 +39,12 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert err.value.field == "N"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_names_the_field(self, seed):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(MINIMAL, seed=seed))
+        assert err.value.field == "seed"
+
     def test_unknown_key_suggests_close_match(self):
         raw = dict(MINIMAL, bandwith=0.2)
         with pytest.raises(ConfigError) as err:

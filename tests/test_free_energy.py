@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,41 @@ class TestClosures:
         np.testing.assert_allclose(
             g, grad_free_energy(pts, target, kernel, batch=batch), atol=1e-14
         )
+
+
+class TestKernelMatrixCounts:
+    """One value-and-gradient call builds each kernel matrix once."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        # the package attribute evi_mmd.free_energy is the function; patch the module
+        module = importlib.import_module("evi_mmd.free_energy")
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_density_value_and_grad_builds_gram_once(self, monkeypatch):
+        target = isotropic_gaussian(2, 1.0)
+        noise = McNoise.draw(np.random.default_rng(2), 16, 2)
+        _, vg_fn = density_closures(target, KernelConfig.gaussian(0.8), noise)
+        grams = self._count(monkeypatch, "gram")
+        vg_fn(np.random.default_rng(3).normal(size=(6, 2)))
+        assert len(grams) == 1
+
+    def test_empirical_value_and_grad_builds_each_matrix_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        _, vg_fn = empirical_closures(rng.normal(size=(7, 3)), KernelConfig.gaussian(1.2))
+        grams = self._count(monkeypatch, "gram")
+        cross_grams = self._count(monkeypatch, "cross_gram")
+        vg_fn(rng.normal(size=(5, 3)))
+        assert len(grams) == 1
+        assert len(cross_grams) == 1
 
 
 def test_gaussian_normalizer_values():

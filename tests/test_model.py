@@ -143,8 +143,6 @@ class TestSolverConfig:
             dict(mc_samples=0),
             dict(max_iter=0),
             dict(lbfgs_grad_tol=0.0),
-            dict(seed=-1),
-            dict(seed=2**64),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):

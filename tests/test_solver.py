@@ -84,21 +84,33 @@ class TestMedianPairwiseDistance:
         assert median_pairwise_distance(pts) == pytest.approx(expect, rel=1e-12)
 
 
+def constant_energy(value):
+    def f(x):
+        return value, np.zeros_like(x)
+
+    return f
+
+
 class TestProximalObjective:
     def test_candidate_equals_anchor(self):
         anchor = np.random.default_rng(0).normal(size=(4, 2))
-        val = proximal_objective(anchor, anchor, 2.0, lambda x: 7.25)
+        val, grad = proximal_objective(
+            anchor, anchor, 2.0, lambda x: (7.25, np.full_like(x, 0.5))
+        )
         assert val == 7.25
+        np.testing.assert_array_equal(grad, 0.5)
 
     def test_zero_energy_substitution(self):
-        # one 1-d particle displaced by 2 with tau*=1: J = 4 / 2 = 2
-        assert proximal_objective(
-            np.array([[2.0]]), np.array([[0.0]]), 1.0, lambda x: 0.0
-        ) == pytest.approx(2.0)
+        # one 1-d particle displaced by 2 with tau*=1: J = 4 / 2 = 2, dJ = 2
+        val, grad = proximal_objective(
+            np.array([[2.0]]), np.array([[0.0]]), 1.0, constant_energy(0.0)
+        )
+        assert val == pytest.approx(2.0)
+        assert grad[0, 0] == pytest.approx(2.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            proximal_objective(np.zeros((2, 2)), np.zeros((3, 2)), 1.0, lambda x: 0.0)
+            proximal_objective(np.zeros((2, 2)), np.zeros((3, 2)), 1.0, constant_energy(0.0))
 
     def test_gradient_matches_finite_differences(self):
         # J gradient = (x - anchor)/(tau N) + grad F, with F a smooth test field
@@ -108,12 +120,15 @@ class TestProximalObjective:
         tau = 0.7
 
         def f(z):
-            return float(np.sum(np.sin(z)))
+            return float(np.sum(np.sin(z))), np.cos(z)
 
         def j(z):
-            return proximal_objective(z, anchor, tau, f)
+            return proximal_objective(z, anchor, tau, f)[0]
 
-        analytic = (x - anchor) / (tau * 3) + np.cos(x)
+        _, analytic = proximal_objective(x, anchor, tau, f)
+        np.testing.assert_allclose(
+            analytic, (x - anchor) / (tau * 3) + np.cos(x), rtol=1e-15
+        )
         numeric = np.zeros_like(x)
         step = 1e-6
         for i in range(3):
@@ -181,6 +196,22 @@ class TestLbfgs:
         cfg = SolverConfig(tau_star=1.0, lbfgs_grad_tol=1e-10)
         res = lbfgs_minimize(f, np.array([1.9, 0.0]), cfg)
         assert res.value < 1e-12
+
+    def test_one_evaluation_per_trial_point(self):
+        # every call after the start is at a new trial point; an accepted
+        # trial is never evaluated again for its gradient
+        points = []
+
+        def counted(x):
+            points.append(tuple(np.asarray(x, dtype=float).ravel()))
+            return rosenbrock(x)
+
+        cfg = SolverConfig(tau_star=1.0, lbfgs_max_inner=200, lbfgs_grad_tol=1e-12)
+        res = lbfgs_minimize(counted, np.array([-1.2, 1.0]), cfg)
+        assert res.iterations > 0
+        assert len(set(points)) == len(points)
+        assert len(points) == 1 + len(set(points[1:]))
+        assert len(points) >= 1 + res.iterations
 
     def test_memory_discards_non_positive_curvature(self):
         state = LbfgsState(memory=5)
@@ -298,16 +329,13 @@ class TestEviMmdRun:
         calls = {"n": 0}
 
         def setup_for(n):
-            def value_fn(x):
-                return 0.0
-
             def bad_vg(x):
                 calls["n"] += 1
                 if n >= 3:
                     return np.nan, np.zeros_like(x)
                 return 0.0, np.zeros_like(x)
 
-            return IterationSetup(value_fn, bad_vg, h_n=1.0)
+            return IterationSetup(bad_vg, h_n=1.0)
 
         cfg = SolverConfig(tau_star=1.0)
         with pytest.raises(NumericalFailureError) as err:
