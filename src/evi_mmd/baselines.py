@@ -2,18 +2,20 @@
 implicit energy-distance sampler, Stein variational gradient descent, and
 unadjusted Langevin Monte Carlo.
 
-All four emit the same per-iteration record schema as the main solver so
-their evaluation curves are directly comparable.  The single-loop methods
-(SVGD, Langevin) record one row per ``record_stride`` steps, matching the
-convention of logging 100 of their cheap steps against one implicit outer
-iteration.
+Each method is a step function on :func:`evi_mmd.solver.run_loop`, the
+outer loop the main solver also runs on, so all four emit the same
+per-iteration record, take the same ``record_stride``/``evaluator``/
+``on_iteration`` keywords, and leave a partial record on a numerical
+failure.  The cheap-step methods (SVGD, Langevin) default to one row per
+100 steps, matching the convention of logging 100 of their steps against
+one implicit outer iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,19 +26,12 @@ from .model import (
     BandwidthSchedule,
     DensityTarget,
     EmpiricalTarget,
-    IterationRow,
     KernelConfig,
     ParticleSet,
     RunRecord,
     SolverConfig,
 )
-from .solver import (
-    IterationSetup,
-    _evaluate,
-    bandwidth_at,
-    draw_minibatch,
-    run_implicit_loop,
-)
+from .solver import IterationInfo, bandwidth_at, draw_minibatch, implicit_step, run_loop
 
 _DENSITY_FLOOR = 1e-300
 
@@ -84,38 +79,6 @@ def _grad_log_density(target: DensityTarget, particles: np.ndarray) -> np.ndarra
     return np.asarray(grads, dtype=float) / vals[:, None]
 
 
-def _record_due(n: int, record_stride: int, max_iter: int) -> bool:
-    """Rows land at stride boundaries and always at the final step."""
-    return n % record_stride == 0 or n == max_iter
-
-
-def _append_row(
-    n: int,
-    h_n: float,
-    free_energy_value: float,
-    particles: np.ndarray,
-    prev_recorded: np.ndarray,
-    evaluator,
-    rows: List[IterationRow],
-) -> np.ndarray:
-    """Append one record row; displacement is measured against the previously
-    recorded positions.  Returns the new "previous recorded" snapshot."""
-    displacement = float(np.sum((particles - prev_recorded) ** 2))
-    mmd2_eval, edist_eval = _evaluate(evaluator, particles)
-    rows.append(
-        IterationRow(
-            n=n,
-            h_n=h_n,
-            free_energy=free_energy_value,
-            mmd2_eval=mmd2_eval,
-            energy_dist_eval=edist_eval,
-            inner_iters=0,
-            displacement=displacement,
-        )
-    )
-    return particles.copy()
-
-
 def explicit_euler_mmd_run(
     target,
     schedule: BandwidthSchedule,
@@ -125,17 +88,17 @@ def explicit_euler_mmd_run(
     init_particles,
     *,
     mc_samples: int = 100,
-    evaluator=None,
     record_stride: int = 1,
-    on_step=None,
+    evaluator=None,
+    on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
     """Plain gradient descent on the adaptive-bandwidth free energy:
     x <- x - eta0 * N * grad F_h(x), the explicit counterpart of the
     proximal update (the dissipation scaling is absorbed into eta0)."""
     if eta0 <= 0:
         raise InvalidArgumentError(f"eta0 must be > 0, got {eta0!r}")
-    particles = _check_init(init_particles)
-    n_particles, dim = particles.shape
+    init = _check_init(init_particles)
+    n_particles, dim = init.shape
     noise_rng, batch_rng = rng.spawn(2)
 
     density_branch = isinstance(target, DensityTarget)
@@ -144,9 +107,7 @@ def explicit_euler_mmd_run(
     elif not isinstance(target, EmpiricalTarget):
         raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
 
-    rows: List[IterationRow] = []
-    prev_recorded = particles.copy()
-    for n in range(1, max_iter + 1):
+    def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         h_n = bandwidth_at(schedule, n)
         kernel = KernelConfig.gaussian(h_n)
         if density_branch:
@@ -155,20 +116,22 @@ def explicit_euler_mmd_run(
             batch = draw_minibatch(target, batch_rng)
             value_fn, vg_fn = empirical_closures(batch, kernel)
         _, grad = vg_fn(particles)
-        particles = particles - eta0 * n_particles * grad
-        if not np.all(np.isfinite(particles)):
-            raise NumericalFailureError(
-                f"explicit update diverged at iteration {n}",
-                last_iterate=prev_recorded,
-                partial_record=RunRecord(tuple(rows)),
-            )
-        if on_step is not None:
-            on_step(n, particles)
-        if _record_due(n, record_stride, max_iter):
-            prev_recorded = _append_row(
-                n, h_n, value_fn(particles), particles, prev_recorded, evaluator, rows
-            )
-    return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
+        moved = particles - eta0 * n_particles * grad
+        if not np.all(np.isfinite(moved)):
+            raise NumericalFailureError("explicit update diverged")
+        # The objective value costs a full sweep; only a recorded row needs it.
+        return IterationInfo(
+            n, moved, h_n=h_n, free_energy=value_fn(moved) if record else math.nan
+        )
+
+    return run_loop(
+        init,
+        max_iter,
+        step,
+        record_stride=record_stride,
+        evaluator=evaluator,
+        on_iteration=on_iteration,
+    )
 
 
 def energy_distance_run(
@@ -177,6 +140,7 @@ def energy_distance_run(
     rng: np.random.Generator,
     init_particles,
     *,
+    record_stride: int = 1,
     evaluator=None,
     on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
@@ -197,18 +161,18 @@ def energy_distance_run(
     _, batch_rng = rng.spawn(2)
     kernel = KernelConfig.negative_euclidean()
 
-    def setup_for(n: int) -> IterationSetup:
+    def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         batch = draw_minibatch(target, batch_rng)
         _, vg_fn = empirical_closures(batch, kernel)
         m = batch.shape[0]
         batch_const = -float(pairwise_distances(batch, batch).sum()) / (m * m)
-        return IterationSetup(vg_fn, h_n=math.nan, report_offset=batch_const)
+        return implicit_step(n, particles, vg_fn, config, report_offset=batch_const)
 
-    return run_implicit_loop(
+    return run_loop(
         init,
         config.max_iter,
-        config,
-        setup_for,
+        step,
+        record_stride=record_stride,
         evaluator=evaluator,
         on_iteration=on_iteration,
     )
@@ -239,9 +203,9 @@ def svgd_run(
     max_iter: int,
     init_particles,
     *,
-    evaluator=None,
     record_stride: int = 100,
-    on_step=None,
+    evaluator=None,
+    on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
     """Stein variational gradient descent with a fixed kernel bandwidth.
 
@@ -252,18 +216,18 @@ def svgd_run(
         raise InvalidArgumentError("svgd_run requires a DensityTarget")
     if bandwidth <= 0:
         raise InvalidArgumentError(f"bandwidth must be > 0, got {bandwidth!r}")
-    particles = _check_init(init_particles)
-    rows: List[IterationRow] = []
-    prev_recorded = particles.copy()
-    for n in range(1, max_iter + 1):
-        particles = svgd_step(particles, target, bandwidth, eta0)
-        if on_step is not None:
-            on_step(n, particles)
-        if _record_due(n, record_stride, max_iter):
-            prev_recorded = _append_row(
-                n, bandwidth, math.nan, particles, prev_recorded, evaluator, rows
-            )
-    return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
+
+    def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
+        return IterationInfo(n, svgd_step(particles, target, bandwidth, eta0), h_n=bandwidth)
+
+    return run_loop(
+        _check_init(init_particles),
+        max_iter,
+        step,
+        record_stride=record_stride,
+        evaluator=evaluator,
+        on_iteration=on_iteration,
+    )
 
 
 def lmc_run(
@@ -274,9 +238,9 @@ def lmc_run(
     init_particles,
     *,
     noise_scale: float = 1.0,
-    evaluator=None,
     record_stride: int = 100,
-    on_step=None,
+    evaluator=None,
+    on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
     """Unadjusted Langevin: per particle,
     x <- x + eta(n)/2 * grad log rho(x) + sqrt(eta(n)) * z,  z ~ N(0, I).
@@ -287,18 +251,20 @@ def lmc_run(
     """
     if not isinstance(target, DensityTarget):
         raise InvalidArgumentError("lmc_run requires a DensityTarget")
-    particles = _check_init(init_particles)
-    rows: List[IterationRow] = []
-    prev_recorded = particles.copy()
-    for n in range(1, max_iter + 1):
+
+    def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         eta = schedule.step_size(n)
         score = _grad_log_density(target, particles)
         noise = rng.standard_normal(particles.shape)
-        particles = particles + 0.5 * eta * score + noise_scale * np.sqrt(eta) * noise
-        if on_step is not None:
-            on_step(n, particles)
-        if _record_due(n, record_stride, max_iter):
-            prev_recorded = _append_row(
-                n, math.nan, math.nan, particles, prev_recorded, evaluator, rows
-            )
-    return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
+        return IterationInfo(
+            n, particles + 0.5 * eta * score + noise_scale * np.sqrt(eta) * noise
+        )
+
+    return run_loop(
+        _check_init(init_particles),
+        max_iter,
+        step,
+        record_stride=record_stride,
+        evaluator=evaluator,
+        on_iteration=on_iteration,
+    )

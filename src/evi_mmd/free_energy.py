@@ -144,13 +144,16 @@ def _square_term_and_grad(
         )
         return float(w.sum()) / (n * n), -2.0 / (n * n * h2) * weighted
     if kernel.kind == NEGATIVE_EUCLIDEAN:
-        units = _unit_differences(particles, particles, zero_diagonal=True)
-        return square_term(particles, kernel), -2.0 / (n * n) * units.sum(axis=1)
+        units, dist = _unit_differences(particles, particles, zero_diagonal=True)
+        return -float(dist.sum()) / (n * n), -2.0 / (n * n) * units.sum(axis=1)
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def _unit_differences(a: np.ndarray, b: np.ndarray, zero_diagonal: bool) -> np.ndarray:
-    """(x_i - y_j)/|x_i - y_j| with coincident pairs mapped to 0."""
+def _unit_differences(
+    a: np.ndarray, b: np.ndarray, zero_diagonal: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(x_i - y_j)/|x_i - y_j| with coincident pairs mapped to 0, and the
+    distances |x_i - y_j| they were computed from."""
     diff = a[:, None, :] - b[None, :, :]
     dist = pairwise_distances(a, b)
     safe = np.where(dist > 0.0, dist, 1.0)
@@ -159,7 +162,7 @@ def _unit_differences(a: np.ndarray, b: np.ndarray, zero_diagonal: bool) -> np.n
     if zero_diagonal and a.shape[0] == b.shape[0]:
         idx = np.arange(a.shape[0])
         units[idx, idx] = 0.0
-    return units
+    return units, dist
 
 
 ValueFn = Callable[[np.ndarray], float]
@@ -223,8 +226,8 @@ def empirical_closures(
             weighted = x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, batch)
             cross, cross_grad = float(w.sum()) / m, -weighted / (h2 * m)
         elif kernel.kind == NEGATIVE_EUCLIDEAN:
-            units = _unit_differences(x, batch, zero_diagonal=False)
-            cross, cross_grad = cross_term_empirical(x, batch, kernel), -units.sum(axis=1) / m
+            units, dist = _unit_differences(x, batch, zero_diagonal=False)
+            cross, cross_grad = -float(dist.sum()) / m, -units.sum(axis=1) / m
         else:
             raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
         square, square_grad = _square_term_and_grad(x, kernel)

@@ -32,7 +32,7 @@ from .model import (
     SolverConfig,
     initial_particles,
 )
-from .solver import evi_mmd_run, median_pairwise_distance
+from .solver import IterationInfo, evi_mmd_run, median_pairwise_distance
 from .targets import eight_mixture, isotropic_gaussian, star_mixture, wave_density
 
 # Stream offsets under the master seed.
@@ -107,9 +107,9 @@ class SnapshotCollector:
         self.wanted = sorted({i for i in snapshot_iters if 1 <= i <= max_iter} | {max_iter})
         self.snapshots: Dict[int, np.ndarray] = {}
 
-    def offer(self, n: int, particles: np.ndarray) -> None:
-        if n in self.wanted:
-            self.snapshots[n] = np.array(particles)
+    def offer(self, info: IterationInfo) -> None:
+        if info.n in self.wanted:
+            self.snapshots[info.n] = np.array(info.particles)
 
 
 def resolve_tau_star(cfg: ExperimentConfig, dim: int) -> ExperimentConfig:
@@ -142,72 +142,30 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
     collector = SnapshotCollector(cfg.snapshot_iters, cfg.max_iter)
     algo_rng = _stream(cfg.seed, STREAM_ALGO)
 
+    loop = dict(
+        record_stride=cfg.metrics_stride, evaluator=evaluator, on_iteration=collector.offer
+    )
+
     if cfg.method in ("evi_mmd", "energy_distance"):
         solver_cfg = SolverConfig(
             tau_star=cfg.tau_star,
             mc_samples=cfg.L,
             max_iter=cfg.max_iter,
         )
-
-        def on_iteration(info):
-            collector.offer(info.n, info.particles)
-
         if cfg.method == "evi_mmd":
-            final, record = evi_mmd_run(
-                target,
-                schedule,
-                solver_cfg,
-                algo_rng,
-                init,
-                evaluator=evaluator,
-                on_iteration=on_iteration,
-            )
+            final, record = evi_mmd_run(target, schedule, solver_cfg, algo_rng, init, **loop)
         else:
-            final, record = energy_distance_run(
-                target,
-                solver_cfg,
-                algo_rng,
-                init,
-                evaluator=evaluator,
-                on_iteration=on_iteration,
-            )
+            final, record = energy_distance_run(target, solver_cfg, algo_rng, init, **loop)
     elif cfg.method == "explicit_mmd":
         final, record = explicit_euler_mmd_run(
-            target,
-            schedule,
-            cfg.eta0,
-            cfg.max_iter,
-            algo_rng,
-            init,
-            mc_samples=cfg.L,
-            evaluator=evaluator,
-            record_stride=cfg.metrics_stride,
-            on_step=collector.offer,
+            target, schedule, cfg.eta0, cfg.max_iter, algo_rng, init, mc_samples=cfg.L, **loop
         )
     elif cfg.method == "svgd":
-        final, record = svgd_run(
-            target,
-            cfg.bandwidth,
-            cfg.eta0,
-            cfg.max_iter,
-            init,
-            evaluator=evaluator,
-            record_stride=cfg.metrics_stride,
-            on_step=collector.offer,
-        )
+        final, record = svgd_run(target, cfg.bandwidth, cfg.eta0, cfg.max_iter, init, **loop)
     elif cfg.method == "lmc":
         lmc_schedule = LmcSchedule(a_lmc=cfg.lmc_a, b_lmc=cfg.lmc_b, c_lmc=cfg.lmc_c)
         noise_rng = _stream(cfg.seed, STREAM_METHOD_NOISE)
-        final, record = lmc_run(
-            target,
-            lmc_schedule,
-            cfg.max_iter,
-            noise_rng,
-            init,
-            evaluator=evaluator,
-            record_stride=cfg.metrics_stride,
-            on_step=collector.offer,
-        )
+        final, record = lmc_run(target, lmc_schedule, cfg.max_iter, noise_rng, init, **loop)
     else:
         raise InvalidArgumentError(f"unknown method {cfg.method!r}")
 

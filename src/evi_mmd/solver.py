@@ -9,6 +9,12 @@ using an in-house L-BFGS with Armijo backtracking.  Because the inner solver
 only ever accepts decreasing steps, J_n(x^(n+1)) <= J_n(x^(n)) holds at every
 iteration, which bounds the per-iteration particle displacement by the free
 energy decrease.
+
+:func:`run_loop` is the outer loop of every method in the package: a method
+is a step function returning an :class:`IterationInfo`, and the loop owns
+the iteration count, which iterations are recorded, their evaluation, the
+``on_iteration`` callback and the partial record on a numerical failure.
+:func:`implicit_step` is the step shared by the implicit methods.
 """
 
 from __future__ import annotations
@@ -215,116 +221,114 @@ def lbfgs_minimize(
 
 @dataclass(frozen=True)
 class IterationInfo:
-    """Diagnostics handed to ``on_iteration`` callbacks after each outer step."""
+    """What one step of any method reports for outer iteration ``n``.
+
+    ``free_energy`` excludes ``report_offset`` (e.g. the batch-constant term
+    of the energy distance), because the displacement bound uses the bare
+    value; the recorded row adds the offset.  The objective fields and
+    ``displacement`` belong to an implicit proximal step; explicit methods
+    leave them NaN, and leave ``free_energy`` NaN on steps not recorded.
+    """
 
     n: int
-    h_n: float
     particles: np.ndarray
-    anchor_objective: float
-    final_objective: float
-    free_energy: float
-    displacement: float
-    inner_iters: int
+    h_n: float = math.nan
+    free_energy: float = math.nan
+    report_offset: float = 0.0
+    inner_iters: int = 0
+    anchor_objective: float = math.nan
+    final_objective: float = math.nan
+    displacement: float = math.nan
 
 
-def _evaluate(evaluator, particles: np.ndarray) -> Tuple[float, float]:
-    """Evaluation metrics of ``particles``, or NaNs without an evaluator."""
-    if evaluator is None:
-        return math.nan, math.nan
-    return evaluator.evaluate(particles)
+StepFn = Callable[[int, np.ndarray, bool], IterationInfo]
 
 
 def implicit_step(
+    n: int,
     anchor: np.ndarray,
-    tau_star: float,
     value_and_grad_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     config: SolverConfig,
-) -> Tuple[np.ndarray, float, float, int]:
-    """One proximal minimization from ``anchor``.
+    *,
+    h_n: float = math.nan,
+    report_offset: float = 0.0,
+) -> IterationInfo:
+    """One proximal minimization of J_n from ``anchor``.
 
-    Returns (new particles, J at anchor, J at the result, inner iterations).
+    The free energy at the result is J there minus the proximity term.
     """
+    tau_star = config.tau_star
 
     def j_value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         return proximal_objective(x, anchor, tau_star, value_and_grad_fn)
 
     result = lbfgs_minimize(j_value_and_grad, anchor, config)
-    # J at the anchor equals the bare free energy there (zero proximity term).
-    return result.x, result.start_value, result.value, result.iterations
+    displacement = float(np.sum((result.x - anchor) ** 2))
+    return IterationInfo(
+        n=n,
+        particles=result.x,
+        h_n=h_n,
+        free_energy=result.value - displacement / (2.0 * tau_star * anchor.shape[0]),
+        report_offset=report_offset,
+        inner_iters=result.iterations,
+        # J at the anchor equals the bare free energy there (zero proximity term).
+        anchor_objective=result.start_value,
+        final_objective=result.value,
+        displacement=displacement,
+    )
 
 
-@dataclass(frozen=True)
-class IterationSetup:
-    """Free-energy value-and-gradient closure and reporting constants for one
-    outer iteration.
-
-    ``report_offset`` is added to the recorded free energy only (e.g. the
-    batch-constant term of the energy distance); it never enters the
-    optimization.
-    """
-
-    value_and_grad_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]]
-    h_n: float = math.nan
-    report_offset: float = 0.0
-
-
-def run_implicit_loop(
-    init: np.ndarray,
+def run_loop(
+    init,
     max_iter: int,
-    config: SolverConfig,
-    setup_for: Callable[[int], IterationSetup],
+    step: StepFn,
     *,
+    record_stride: int = 1,
     evaluator=None,
     on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
-    """Shared implicit-Euler loop for the adaptive-bandwidth and
-    energy-distance methods.  With ``max_iter`` iterations exhausted (or zero
-    requested) the current particles are returned unchanged beyond the last
-    completed step."""
+    """The outer loop every method shares.
+
+    Calls ``step(n, particles, record)`` for n = 1..``max_iter``; ``record``
+    is true every ``record_stride`` iterations and at the last, and then a
+    row is recorded whose displacement is measured against the previously
+    recorded positions.  ``on_iteration`` receives every step's
+    :class:`IterationInfo`.  A step's :class:`NumericalFailureError` is
+    re-raised with the particles that step started from and the rows so far.
+    With zero iterations the initial particles are returned unchanged.
+    """
     particles = np.array(init, dtype=float)
-    n_particles = particles.shape[0]
-    tau_star = config.tau_star
+    recorded = particles
     rows: List[IterationRow] = []
     for n in range(1, max_iter + 1):
-        setup = setup_for(n)
+        record = n % record_stride == 0 or n == max_iter
         try:
-            new_particles, j_anchor, j_final, inner = implicit_step(
-                particles, tau_star, setup.value_and_grad_fn, config
-            )
+            info = step(n, particles, record)
         except NumericalFailureError as exc:
             raise NumericalFailureError(
-                f"inner solve failed at outer iteration {n}: {exc}",
+                f"step failed at iteration {n}: {exc}",
                 last_iterate=particles,
                 partial_record=RunRecord(tuple(rows)),
             ) from exc
-        displacement = float(np.sum((new_particles - particles) ** 2))
-        free_energy_value = j_final - displacement / (2.0 * tau_star * n_particles)
-        mmd2_eval, edist_eval = _evaluate(evaluator, new_particles)
-        rows.append(
-            IterationRow(
-                n=n,
-                h_n=setup.h_n,
-                free_energy=free_energy_value + setup.report_offset,
-                mmd2_eval=mmd2_eval,
-                energy_dist_eval=edist_eval,
-                inner_iters=inner,
-                displacement=displacement,
+        if record:
+            mmd2_eval, edist_eval = (
+                (math.nan, math.nan) if evaluator is None else evaluator.evaluate(info.particles)
             )
-        )
-        if on_iteration is not None:
-            on_iteration(
-                IterationInfo(
+            rows.append(
+                IterationRow(
                     n=n,
-                    h_n=setup.h_n,
-                    particles=new_particles,
-                    anchor_objective=j_anchor,
-                    final_objective=j_final,
-                    free_energy=free_energy_value,
-                    displacement=displacement,
-                    inner_iters=inner,
+                    h_n=info.h_n,
+                    free_energy=info.free_energy + info.report_offset,
+                    mmd2_eval=mmd2_eval,
+                    energy_dist_eval=edist_eval,
+                    inner_iters=info.inner_iters,
+                    displacement=float(np.sum((info.particles - recorded) ** 2)),
                 )
             )
-        particles = new_particles
+            recorded = info.particles
+        if on_iteration is not None:
+            on_iteration(info)
+        particles = info.particles
     return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
 
 
@@ -341,6 +345,7 @@ def evi_mmd_run(
     rng: np.random.Generator,
     init_particles,
     *,
+    record_stride: int = 1,
     evaluator=None,
     on_iteration=None,
 ) -> Tuple[ParticleSet, RunRecord]:
@@ -351,7 +356,8 @@ def evi_mmd_run(
     mini-batch at every outer iteration and hold it fixed across the inner
     solve.  ``rng`` spawns the noise and mini-batch streams; initial particles
     are supplied by the caller (see :func:`evi_mmd.model.initial_particles`
-    and :func:`auto_schedule` for the default recipe).
+    and :func:`auto_schedule` for the default recipe).  ``record_stride``,
+    ``evaluator`` and ``on_iteration`` are passed to :func:`run_loop`.
     """
     init = np.array(init_particles, dtype=float)
     if init.ndim != 2:
@@ -369,26 +375,24 @@ def evi_mmd_run(
     if isinstance(target, DensityTarget):
         noise = McNoise.draw(noise_rng, config.mc_samples, dim)
 
-        def setup_for(n: int) -> IterationSetup:
+        def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
+            h_n = bandwidth_at(schedule, n)
+            _, vg_fn = density_closures(target, KernelConfig.gaussian(h_n), noise)
+            return implicit_step(n, particles, vg_fn, config, h_n=h_n)
+
+    else:
+
+        def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
             h_n = bandwidth_at(schedule, n)
             kernel = KernelConfig.gaussian(h_n)
-            _, vg_fn = density_closures(target, kernel, noise)
-            return IterationSetup(vg_fn, h_n=h_n)
+            _, vg_fn = empirical_closures(draw_minibatch(target, batch_rng), kernel)
+            return implicit_step(n, particles, vg_fn, config, h_n=h_n)
 
-    elif isinstance(target, EmpiricalTarget):
-
-        def setup_for(n: int) -> IterationSetup:
-            h_n = bandwidth_at(schedule, n)
-            kernel = KernelConfig.gaussian(h_n)
-            batch = draw_minibatch(target, batch_rng)
-            _, vg_fn = empirical_closures(batch, kernel)
-            return IterationSetup(vg_fn, h_n=h_n)
-
-    return run_implicit_loop(
+    return run_loop(
         init,
         config.max_iter,
-        config,
-        setup_for,
+        step,
+        record_stride=record_stride,
         evaluator=evaluator,
         on_iteration=on_iteration,
     )

@@ -207,6 +207,16 @@ class TestSvgd:
         with pytest.raises(NumericalFailureError):
             svgd_run(target, bandwidth=0.5, eta0=0.1, max_iter=1, init_particles=init)
 
+    def test_underflow_carries_partial_record(self):
+        target = isotropic_gaussian(1, 0.05)
+        init = np.array([[0.1], [0.3], [-0.2]])
+        with pytest.raises(NumericalFailureError) as err:
+            svgd_run(
+                target, bandwidth=0.5, eta0=1.0, max_iter=50, init_particles=init,
+                record_stride=1,
+            )
+        assert len(err.value.partial_record) == 1
+
     def test_record_stride(self):
         target = isotropic_gaussian(1, 1.0)
         init = np.array([[1.0], [2.0]])

@@ -7,21 +7,18 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")
 
+EVI_MMD = {"method": "evi_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 2}
+SVGD = {"method": "svgd", "target": "eight", "N": 20, "maxIter": 30}
 
-def test_traced_child_run(tmp_path):
-    raw = {
-        "method": "evi_mmd",
-        "target": "eight",
-        "N": 20,
-        "L": 20,
-        "maxIter": 2,
-        "n_reference": 100,
-        "seed": 3,
-        "out_dir": str(tmp_path / "run"),
-    }
+
+@pytest.mark.parametrize("config", [EVI_MMD, SVGD], ids=["evi_mmd", "svgd"])
+def test_traced_child_run(tmp_path, config):
+    raw = dict(config, n_reference=100, seed=3, out_dir=str(tmp_path / "run"))
     result_path = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, CHILD, ROOT, "trace", str(result_path), json.dumps(raw)],
@@ -35,9 +32,12 @@ def test_traced_child_run(tmp_path):
     result = json.loads(result_path.read_text())
     assert result["failures"] == []
     counts = result["trace"]["counts"]
-    assert counts["free_energy.value_and_grad.calls"] > 0
-    assert "free_energy.value.calls" not in counts
-    # one objective evaluation at the start of each inner solve, one per trial
-    assert counts["solver.evals"] == (
-        counts["solver.trial_evals"] + counts["solver.lbfgs_minimize.calls"]
-    )
+    if raw["method"] == "svgd":
+        assert counts["baselines.svgd_step.calls"] == 30
+    else:
+        assert counts["free_energy.value_and_grad.calls"] > 0
+        assert "free_energy.value.calls" not in counts
+        # one objective evaluation at the start of each inner solve, one per trial
+        assert counts["solver.evals"] == (
+            counts["solver.trial_evals"] + counts["solver.lbfgs_minimize.calls"]
+        )

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 import evi_mmd.cli
+from evi_mmd import config_from_dict, run_experiment
 from evi_mmd.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, main
 from evi_mmd.errors import NumericalFailureError
 from evi_mmd.io import load_dataset_csv, read_particles_csv, read_run_record_csv
@@ -91,6 +92,29 @@ class TestRunCommand:
         echoed = yaml.safe_load((out / "config_resolved.yaml").read_text())
         assert echoed["strict_deterministic"] is True
 
+    def test_metrics_stride_thins_implicit_rows_not_snapshots(self, tmp_path):
+        out = tmp_path / "strided"
+        run_experiment(
+            config_from_dict(
+                {
+                    "method": "evi_mmd",
+                    "target": "eight",
+                    "N": 12,
+                    "L": 32,
+                    "maxIter": 6,
+                    "metrics_stride": 3,
+                    "snapshot_iters": [2, 4],
+                    "n_reference": 100,
+                    "seed": 11,
+                    "out_dir": str(out),
+                }
+            )
+        )
+        record = read_run_record_csv(str(out / "run_record.csv"))
+        assert [r.n for r in record.rows] == [3, 6]
+        for n in (2, 4, 6):
+            assert (out / f"particles_iter{n:06d}.csv").exists()
+
     def test_csv_target_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
         data_path = tmp_path / "train.csv"
@@ -111,6 +135,22 @@ class TestRunCommand:
 
 
 class TestNumericalFailure:
+    def test_svgd_underflow_writes_partial_record(self, tmp_path):
+        cfg_path = write_cfg(
+            tmp_path,
+            method="svgd",
+            target="gaussian",
+            target_d=1,
+            target_sigma=0.05,
+            N=5,
+            eta0=5.0,
+            bandwidth=0.5,
+            metrics_stride=1,
+            seed=3,
+        )
+        assert main(["run", str(cfg_path)]) == EXIT_NUMERICAL
+        assert (tmp_path / "out" / "run_record.csv").exists()
+
     @staticmethod
     def _fail_after_two_rows(monkeypatch):
         rows = tuple(

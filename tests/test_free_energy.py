@@ -287,9 +287,9 @@ class TestKernelMatrixCounts:
     """One value-and-gradient call builds each kernel matrix once."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, module_name="evi_mmd.free_energy"):
         # the package attribute evi_mmd.free_energy is the function; patch the module
-        module = importlib.import_module("evi_mmd.free_energy")
+        module = importlib.import_module(module_name)
         calls = []
         original = getattr(module, name)
 
@@ -316,6 +316,18 @@ class TestKernelMatrixCounts:
         vg_fn(rng.normal(size=(5, 3)))
         assert len(grams) == 1
         assert len(cross_grams) == 1
+
+    def test_energy_distance_value_and_grad_sweeps_each_distance_matrix_once(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(6)
+        _, vg_fn = empirical_closures(
+            rng.normal(size=(50, 2)), KernelConfig.negative_euclidean()
+        )
+        sweeps = self._count(monkeypatch, "squared_distances", "evi_mmd.kernels")
+        vg_fn(rng.normal(size=(40, 2)))
+        # one particle-particle and one particle-batch sweep
+        assert len(sweeps) == 2
 
 
 def test_gaussian_normalizer_values():

@@ -127,7 +127,12 @@ class TestBandwidthSchedule:
         sched = BandwidthSchedule(a=a, b=b, c=c)
         h_n = bandwidth_at(sched, n)
         h_next = bandwidth_at(sched, n + 1)
-        assert h_next < h_n
+        # float64 resolves a strict decrease only where the step in a / n^c
+        # exceeds the spacing of doubles at h_n; below it the two may round equal
+        if a / n**c - a / (n + 1) ** c > np.spacing(h_n):
+            assert h_next < h_n
+        else:
+            assert h_next <= h_n
         assert h_n > b
 
 

@@ -17,7 +17,7 @@ from evi_mmd import (
     median_pairwise_distance,
     proximal_objective,
 )
-from evi_mmd.solver import IterationSetup, LbfgsState, run_implicit_loop
+from evi_mmd.solver import LbfgsState, implicit_step, run_loop
 
 
 def quadratic_bowl(center):
@@ -242,8 +242,7 @@ class TestEviMmdRun:
         # the public config enforces max_iter >= 1; the loop-not-entered
         # behavior is pinned on the internal loop helper
         init = np.random.default_rng(0).normal(size=(3, 2))
-        cfg = SolverConfig(tau_star=1.0)
-        final, record = run_implicit_loop(init, 0, cfg, lambda n: None)
+        final, record = run_loop(init, 0, lambda n, particles, record: None)
         np.testing.assert_array_equal(final.positions, init)
         assert len(record) == 0
 
@@ -327,18 +326,18 @@ class TestEviMmdRun:
 
     def test_inner_failure_carries_partial_record(self):
         calls = {"n": 0}
+        cfg = SolverConfig(tau_star=1.0)
 
-        def setup_for(n):
+        def step(n, particles, record):
             def bad_vg(x):
                 calls["n"] += 1
                 if n >= 3:
                     return np.nan, np.zeros_like(x)
                 return 0.0, np.zeros_like(x)
 
-            return IterationSetup(bad_vg, h_n=1.0)
+            return implicit_step(n, particles, bad_vg, cfg, h_n=1.0)
 
-        cfg = SolverConfig(tau_star=1.0)
         with pytest.raises(NumericalFailureError) as err:
-            run_implicit_loop(np.zeros((2, 2)), 10, cfg, setup_for)
+            run_loop(np.zeros((2, 2)), 10, step)
         assert err.value.partial_record is not None
         assert len(err.value.partial_record) == 2
