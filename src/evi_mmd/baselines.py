@@ -8,7 +8,10 @@ per-iteration record, take the same ``record_stride``/``evaluator``/
 ``on_iteration`` keywords, and leave a partial record on a numerical
 failure.  The cheap-step methods (SVGD, Langevin) default to one row per
 100 steps, matching the convention of logging 100 of their steps against
-one implicit outer iteration.
+one implicit outer iteration.  Every run function checks its initial
+particles and target with :func:`evi_mmd.solver.check_run_inputs`, and
+explicit Euler takes its objective from
+:func:`evi_mmd.solver.objective_source`, as the main solver does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .free_energy import McNoise, density_closures, empirical_closures
+# density_closures is unused here; bench/tracing.py looks it up in this module.
+from .free_energy import density_closures, empirical_closures  # noqa: F401
 from .kernels import gram, pairwise_distances
 from .model import (
     BandwidthSchedule,
@@ -31,7 +35,15 @@ from .model import (
     RunRecord,
     SolverConfig,
 )
-from .solver import IterationInfo, bandwidth_at, draw_minibatch, implicit_step, run_loop
+from .solver import (
+    IterationInfo,
+    bandwidth_at,
+    check_run_inputs,
+    draw_minibatch,
+    implicit_step,
+    objective_source,
+    run_loop,
+)
 
 _DENSITY_FLOOR = 1e-300
 
@@ -55,20 +67,9 @@ class LmcSchedule:
         return self.a_lmc * (self.b_lmc + n) ** (-self.c_lmc)
 
 
-def _check_init(init_particles) -> np.ndarray:
-    init = np.array(init_particles, dtype=float)
-    if init.ndim != 2 or not np.all(np.isfinite(init)):
-        raise InvalidArgumentError("init_particles must be a finite N x d matrix")
-    return init
-
-
 def _grad_log_density(target: DensityTarget, particles: np.ndarray) -> np.ndarray:
     """grad log rho = grad rho / rho with an underflow guard."""
-    if target.density_and_grad is not None:
-        vals, grads = target.density_and_grad(particles)
-    else:
-        vals = target.density(particles)
-        grads = target.grad_density(particles)
+    vals, grads = target.density_and_grad(particles)
     vals = np.asarray(vals, dtype=float)
     if np.any(vals < _DENSITY_FLOOR):
         raise NumericalFailureError(
@@ -97,24 +98,13 @@ def explicit_euler_mmd_run(
     proximal update (the dissipation scaling is absorbed into eta0)."""
     if eta0 <= 0:
         raise InvalidArgumentError(f"eta0 must be > 0, got {eta0!r}")
-    init = _check_init(init_particles)
-    n_particles, dim = init.shape
-    noise_rng, batch_rng = rng.spawn(2)
-
-    density_branch = isinstance(target, DensityTarget)
-    if density_branch:
-        noise = McNoise.draw(noise_rng, mc_samples, dim)
-    elif not isinstance(target, EmpiricalTarget):
-        raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
+    init = check_run_inputs(init_particles, target, (DensityTarget, EmpiricalTarget))
+    n_particles = init.shape[0]
+    objective = objective_source(target, rng, mc_samples)
 
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         h_n = bandwidth_at(schedule, n)
-        kernel = KernelConfig.gaussian(h_n)
-        if density_branch:
-            value_fn, vg_fn = density_closures(target, kernel, noise)
-        else:
-            batch = draw_minibatch(target, batch_rng)
-            value_fn, vg_fn = empirical_closures(batch, kernel)
+        value_fn, vg_fn = objective(KernelConfig.gaussian(h_n))
         _, grad = vg_fn(particles)
         moved = particles - eta0 * n_particles * grad
         if not np.all(np.isfinite(moved)):
@@ -151,13 +141,7 @@ def energy_distance_run(
     the energy distance does not enter the optimization but is added to the
     recorded free-energy column so the trace reports the full statistic.
     """
-    if not isinstance(target, EmpiricalTarget):
-        raise InvalidArgumentError("energy_distance_run requires an EmpiricalTarget")
-    init = _check_init(init_particles)
-    if target.dim != init.shape[1]:
-        raise InvalidArgumentError(
-            f"target dimension {target.dim} != particle dimension {init.shape[1]}"
-        )
+    init = check_run_inputs(init_particles, target, (EmpiricalTarget,))
     _, batch_rng = rng.spawn(2)
     kernel = KernelConfig.negative_euclidean()
 
@@ -165,7 +149,10 @@ def energy_distance_run(
         batch = draw_minibatch(target, batch_rng)
         _, vg_fn = empirical_closures(batch, kernel)
         m = batch.shape[0]
-        batch_const = -float(pairwise_distances(batch, batch).sum()) / (m * m)
+        # The batch constant costs an m x m sweep; only a recorded row reads it.
+        batch_const = (
+            -float(pairwise_distances(batch, batch).sum()) / (m * m) if record else 0.0
+        )
         return implicit_step(n, particles, vg_fn, config, report_offset=batch_const)
 
     return run_loop(
@@ -212,8 +199,7 @@ def svgd_run(
     Deterministic given the initial particles.  The recorded free-energy
     column is NaN (the method does not track a kernel-discrepancy objective).
     """
-    if not isinstance(target, DensityTarget):
-        raise InvalidArgumentError("svgd_run requires a DensityTarget")
+    init = check_run_inputs(init_particles, target, (DensityTarget,))
     if bandwidth <= 0:
         raise InvalidArgumentError(f"bandwidth must be > 0, got {bandwidth!r}")
 
@@ -221,7 +207,7 @@ def svgd_run(
         return IterationInfo(n, svgd_step(particles, target, bandwidth, eta0), h_n=bandwidth)
 
     return run_loop(
-        _check_init(init_particles),
+        init,
         max_iter,
         step,
         record_stride=record_stride,
@@ -249,8 +235,7 @@ def lmc_run(
     drift flow, useful for tests).  Rows are recorded every ``record_stride``
     steps with a NaN bandwidth column.
     """
-    if not isinstance(target, DensityTarget):
-        raise InvalidArgumentError("lmc_run requires a DensityTarget")
+    init = check_run_inputs(init_particles, target, (DensityTarget,))
 
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         eta = schedule.step_size(n)
@@ -261,7 +246,7 @@ def lmc_run(
         )
 
     return run_loop(
-        _check_init(init_particles),
+        init,
         max_iter,
         step,
         record_stride=record_stride,

@@ -10,7 +10,7 @@ initial particles ("auto"), the floor b to 0.1, and the decay c to 0.5.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
 import yaml
@@ -75,35 +75,10 @@ class ExperimentConfig:
         return self.target == "csv" or self.two_sample
 
 
-# YAML key -> ExperimentConfig field.  Keys follow the config-file dialect
-# (camelCase maxIter, single-letter schedule parameters).
+# YAML key -> ExperimentConfig field.  Keys are the field names, except the
+# config-file dialect's camelCase maxIter.
 _KEY_TO_FIELD = {
-    "method": "method",
-    "target": "target",
-    "N": "N",
-    "maxIter": "max_iter",
-    "L": "L",
-    "tau_star": "tau_star",
-    "a": "a",
-    "b": "b",
-    "c": "c",
-    "eta0": "eta0",
-    "bandwidth": "bandwidth",
-    "lmc_a": "lmc_a",
-    "lmc_b": "lmc_b",
-    "lmc_c": "lmc_c",
-    "seed": "seed",
-    "out_dir": "out_dir",
-    "metrics_stride": "metrics_stride",
-    "n_reference": "n_reference",
-    "eval_bandwidth": "eval_bandwidth",
-    "snapshot_iters": "snapshot_iters",
-    "two_sample": "two_sample",
-    "M": "M",
-    "target_d": "target_d",
-    "target_sigma": "target_sigma",
-    "target_csv": "target_csv",
-    "strict_deterministic": "strict_deterministic",
+    {"max_iter": "maxIter"}.get(f.name, f.name): f.name for f in fields(ExperimentConfig)
 }
 
 _REQUIRED_KEYS = ("method", "target", "N", "maxIter")

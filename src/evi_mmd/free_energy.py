@@ -187,13 +187,7 @@ def density_closures(
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         n, d = x.shape
-        probes = _density_probes(x, h, noise)
-        if target.density_and_grad is not None:
-            vals, grads = target.density_and_grad(probes)
-        elif target.grad_density is None:
-            raise UnsupportedOperationError("target does not provide grad_density")
-        else:
-            vals, grads = target.density(probes), target.grad_density(probes)
+        vals, grads = target.density_and_grad(_density_probes(x, h, noise))
         scale = gaussian_normalizer(d, h) / noise.n_samples
         cross = scale * float(np.asarray(vals, dtype=float).sum())
         cross_grad = scale * np.asarray(grads, dtype=float).reshape(n, -1, d).sum(axis=1)

@@ -7,8 +7,8 @@ marked read-only, and invariant violations raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -74,9 +74,9 @@ class DensityTarget:
     (n, d) array and return (n,) / (n, d) arrays.  ``domain_box`` is the
     (lower, upper) box used only for particle initialization, never as a hard
     constraint.  ``exact_sampler`` (rng, n) -> (n, d), when present, provides
-    validation data for evaluation metrics.  ``density_and_grad`` is an
-    optional fused evaluation used on hot paths; it must agree with the two
-    separate callables.
+    validation data for evaluation metrics.  ``density_and_grad`` is the
+    fused evaluation the samplers call; it must agree with the two separate
+    callables, and when it is not given it calls them one after the other.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -98,10 +98,26 @@ class DensityTarget:
         if not np.all(lower < upper):
             raise InvalidArgumentError("domain_box requires lower < upper per coordinate")
         object.__setattr__(self, "domain_box", (lower, upper))
+        # Rebuilt when copied with ``dataclasses.replace``, so that it calls
+        # the copy's own density and gradient.
+        if self.density_and_grad is None or isinstance(self.density_and_grad, _Separate):
+            fused = _Separate(self.density, self.grad_density)
+            object.__setattr__(self, "density_and_grad", fused)
 
     @property
     def dim(self) -> int:
         return self.domain_box[0].shape[0]
+
+
+@dataclass(frozen=True)
+class _Separate:
+    """A density-and-gradient evaluation made of the two separate callables."""
+
+    density: Callable[[np.ndarray], np.ndarray]
+    grad_density: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.density(x), self.grad_density(x)
 
 
 @dataclass(frozen=True)

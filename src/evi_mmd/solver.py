@@ -14,7 +14,10 @@ energy decrease.
 is a step function returning an :class:`IterationInfo`, and the loop owns
 the iteration count, which iterations are recorded, their evaluation, the
 ``on_iteration`` callback and the partial record on a numerical failure.
-:func:`implicit_step` is the step shared by the implicit methods.
+:func:`implicit_step` is the step shared by the implicit methods.  Every
+run function checks its inputs with :func:`check_run_inputs`, and the two
+methods on the adaptive-bandwidth objective take it from
+:func:`objective_source`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .free_energy import McNoise, density_closures, empirical_closures
+from .free_energy import McNoise, ValueFn, ValueGradFn, density_closures, empirical_closures
 from .kernels import pairwise_distances
 from .model import (
     BandwidthSchedule,
@@ -332,10 +335,45 @@ def run_loop(
     return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
 
 
+def check_run_inputs(init_particles, target, kinds: tuple) -> np.ndarray:
+    """The initial particles as a float array, once they are a finite N x d
+    matrix and ``target`` is an instance of one of ``kinds`` with dimension d.
+
+    Every run function starts with this check."""
+    init = np.array(init_particles, dtype=float)
+    if init.ndim != 2 or not np.all(np.isfinite(init)):
+        raise InvalidArgumentError("init_particles must be a finite N x d matrix")
+    if not isinstance(target, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidArgumentError(f"target must be of type {names}, got {type(target).__name__}")
+    if target.dim != init.shape[1]:
+        raise InvalidArgumentError(
+            f"target dimension {target.dim} != particle dimension {init.shape[1]}"
+        )
+    return init
+
+
 def draw_minibatch(target: EmpiricalTarget, rng: np.random.Generator) -> np.ndarray:
     """Sample the target's mini-batch without replacement."""
     idx = rng.choice(target.n_rows, size=target.minibatch_size, replace=False)
     return target.data[idx]
+
+
+def objective_source(
+    target, rng: np.random.Generator, mc_samples: int
+) -> Callable[[KernelConfig], Tuple[ValueFn, ValueGradFn]]:
+    """The free-energy objective of a run, as a function of the kernel.
+
+    ``rng`` spawns the noise and the mini-batch streams, in that order.  A
+    density target gets ``mc_samples`` Monte-Carlo noise draws once, frozen
+    for the run; an empirical target gets a fresh mini-batch at every call.
+    Each call returns the branch's (value, value-and-gradient) closures.
+    """
+    noise_rng, batch_rng = rng.spawn(2)
+    if isinstance(target, DensityTarget):
+        noise = McNoise.draw(noise_rng, mc_samples, target.dim)
+        return lambda kernel: density_closures(target, kernel, noise)
+    return lambda kernel: empirical_closures(draw_minibatch(target, batch_rng), kernel)
 
 
 def evi_mmd_run(
@@ -351,42 +389,21 @@ def evi_mmd_run(
 ) -> Tuple[ParticleSet, RunRecord]:
     """Run the adaptive-bandwidth implicit sampler.
 
-    Density targets get a Monte-Carlo cross term with noise drawn once before
-    the loop (``config.mc_samples`` draws); empirical targets redraw a
-    mini-batch at every outer iteration and hold it fixed across the inner
-    solve.  ``rng`` spawns the noise and mini-batch streams; initial particles
-    are supplied by the caller (see :func:`evi_mmd.model.initial_particles`
-    and :func:`auto_schedule` for the default recipe).  ``record_stride``,
+    The objective comes from :func:`objective_source`: density targets get a
+    Monte-Carlo cross term with ``config.mc_samples`` noise draws frozen for
+    the run; empirical targets redraw a mini-batch at every outer iteration
+    and hold it fixed across the inner solve.  Initial particles are supplied
+    by the caller (see :func:`evi_mmd.model.initial_particles` and
+    :func:`auto_schedule` for the default recipe).  ``record_stride``,
     ``evaluator`` and ``on_iteration`` are passed to :func:`run_loop`.
     """
-    init = np.array(init_particles, dtype=float)
-    if init.ndim != 2:
-        raise InvalidArgumentError(f"init_particles must be N x d, got shape {init.shape}")
-    dim = init.shape[1]
-    noise_rng, batch_rng = rng.spawn(2)
+    init = check_run_inputs(init_particles, target, (DensityTarget, EmpiricalTarget))
+    objective = objective_source(target, rng, config.mc_samples)
 
-    if not isinstance(target, (DensityTarget, EmpiricalTarget)):
-        raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
-    if target.dim != dim:
-        raise InvalidArgumentError(
-            f"target dimension {target.dim} != particle dimension {dim}"
-        )
-
-    if isinstance(target, DensityTarget):
-        noise = McNoise.draw(noise_rng, config.mc_samples, dim)
-
-        def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
-            h_n = bandwidth_at(schedule, n)
-            _, vg_fn = density_closures(target, KernelConfig.gaussian(h_n), noise)
-            return implicit_step(n, particles, vg_fn, config, h_n=h_n)
-
-    else:
-
-        def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
-            h_n = bandwidth_at(schedule, n)
-            kernel = KernelConfig.gaussian(h_n)
-            _, vg_fn = empirical_closures(draw_minibatch(target, batch_rng), kernel)
-            return implicit_step(n, particles, vg_fn, config, h_n=h_n)
+    def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
+        h_n = bandwidth_at(schedule, n)
+        _, vg_fn = objective(KernelConfig.gaussian(h_n))
+        return implicit_step(n, particles, vg_fn, config, h_n=h_n)
 
     return run_loop(
         init,

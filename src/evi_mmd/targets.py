@@ -234,12 +234,4 @@ def isotropic_gaussian(d: int, sigma: float = 1.0) -> DensityTarget:
         means=np.zeros((1, d)),
         covariances=(sigma**2 * np.eye(d))[None, :, :],
     )
-    lower = np.full(d, -2.0)
-    upper = np.full(d, 2.0)
-    return DensityTarget(
-        density=mixture.density,
-        grad_density=mixture.grad_density,
-        domain_box=(lower, upper),
-        exact_sampler=mixture.sample,
-        density_and_grad=mixture.density_and_grad,
-    )
+    return _target_from_mixture(mixture, (-2.0, 2.0))

@@ -12,6 +12,7 @@ from evi_mmd import (
     SolverConfig,
     energy_distance,
     energy_distance_run,
+    evi_mmd_run,
     explicit_euler_mmd_run,
     gauss_eval,
     gauss_grad_x,
@@ -20,6 +21,7 @@ from evi_mmd import (
     lmc_run,
     svgd_run,
 )
+from evi_mmd import baselines
 from evi_mmd.baselines import svgd_step
 from evi_mmd.free_energy import density_closures
 
@@ -262,3 +264,113 @@ class TestLmc:
             target, sched, 250, np.random.default_rng(0), init, record_stride=100
         )
         assert [r.n for r in record.rows] == [100, 200, 250]
+
+
+def _empirical_3d():
+    return EmpiricalTarget(np.random.default_rng(0).normal(size=(10, 3)), minibatch_size=5)
+
+
+_SCHEDULE = BandwidthSchedule(1.0, 0.1, 0.5)
+_ONE_STEP = SolverConfig(tau_star=1.0, max_iter=1)
+
+# Each run function with one iteration, called as run(target, init).
+RUNS = {
+    "evi_mmd": lambda t, x: evi_mmd_run(t, _SCHEDULE, _ONE_STEP, np.random.default_rng(0), x),
+    "explicit_mmd": lambda t, x: explicit_euler_mmd_run(
+        t, _SCHEDULE, 0.1, 1, np.random.default_rng(0), x
+    ),
+    "energy_distance": lambda t, x: energy_distance_run(
+        t, _ONE_STEP, np.random.default_rng(0), x
+    ),
+    "svgd": lambda t, x: svgd_run(t, 0.5, 0.1, 1, x),
+    "lmc": lambda t, x: lmc_run(t, LmcSchedule(0.1, 1.0, 0.55), 1, np.random.default_rng(0), x),
+}
+
+# (run, a 3-d target of a kind the run accepts)
+ACCEPTED = [
+    ("evi_mmd", lambda: isotropic_gaussian(3)),
+    ("evi_mmd", _empirical_3d),
+    ("explicit_mmd", lambda: isotropic_gaussian(3)),
+    ("explicit_mmd", _empirical_3d),
+    ("energy_distance", _empirical_3d),
+    ("svgd", lambda: isotropic_gaussian(3)),
+    ("lmc", lambda: isotropic_gaussian(3)),
+]
+ACCEPTED_IDS = [
+    "evi_mmd-density",
+    "evi_mmd-empirical",
+    "explicit_mmd-density",
+    "explicit_mmd-empirical",
+    "energy_distance",
+    "svgd",
+    "lmc",
+]
+
+
+class TestRunInputCheck:
+    """Every run function rejects a bad init or a wrong target the same way."""
+
+    @pytest.mark.parametrize("method,make_target", ACCEPTED, ids=ACCEPTED_IDS)
+    def test_accepts_matching_input(self, method, make_target):
+        init = np.random.default_rng(1).uniform(-1, 1, size=(4, 3))
+        final, _ = RUNS[method](make_target(), init)
+        assert final.positions.shape == (4, 3)
+
+    @pytest.mark.parametrize("method,make_target", ACCEPTED, ids=ACCEPTED_IDS)
+    def test_dimension_mismatch(self, method, make_target):
+        with pytest.raises(InvalidArgumentError, match="target dimension 3 != particle"):
+            RUNS[method](make_target(), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("method,make_target", ACCEPTED, ids=ACCEPTED_IDS)
+    def test_nan_in_init(self, method, make_target):
+        init = np.zeros((4, 3))
+        init[1, 2] = np.nan
+        with pytest.raises(InvalidArgumentError, match="init_particles must be a finite"):
+            RUNS[method](make_target(), init)
+
+    @pytest.mark.parametrize("method", list(RUNS))
+    def test_init_not_a_matrix(self, method):
+        with pytest.raises(InvalidArgumentError, match="init_particles must be a finite N x d"):
+            RUNS[method](isotropic_gaussian(3), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "method,target",
+        [
+            ("evi_mmd", object()),
+            ("explicit_mmd", object()),
+            ("energy_distance", isotropic_gaussian(3)),
+            ("svgd", _empirical_3d()),
+            ("lmc", _empirical_3d()),
+        ],
+        ids=["evi_mmd", "explicit_mmd", "energy_distance", "svgd", "lmc"],
+    )
+    def test_wrong_target_kind(self, method, target):
+        with pytest.raises(InvalidArgumentError, match="target must be"):
+            RUNS[method](target, np.zeros((4, 3)))
+
+
+def test_energy_distance_batch_constant_only_on_recorded_rows(monkeypatch):
+    rng = np.random.default_rng(3)
+    target = EmpiricalTarget(rng.normal(size=(80, 2)), minibatch_size=20)
+    init = rng.uniform(-2, 2, size=(10, 2))
+    cfg = SolverConfig(tau_star=1.0, max_iter=6)
+    _, every = energy_distance_run(target, cfg, np.random.default_rng(4), init)
+
+    sweep = baselines.pairwise_distances
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return sweep(a, b)
+
+    monkeypatch.setattr(baselines, "pairwise_distances", counted)
+    _, thinned = energy_distance_run(
+        target, cfg, np.random.default_rng(4), init, record_stride=3
+    )
+    assert len(calls) == 2
+    # the recorded rows still carry the batch constant
+    assert [r.n for r in thinned.rows] == [3, 6]
+    assert [r.free_energy for r in thinned.rows] == [
+        every.rows[2].free_energy,
+        every.rows[5].free_energy,
+    ]

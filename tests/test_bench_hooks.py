@@ -14,9 +14,15 @@ CHILD = os.path.join(ROOT, "bench", "child.py")
 
 EVI_MMD = {"method": "evi_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 2}
 SVGD = {"method": "svgd", "target": "eight", "N": 20, "maxIter": 30}
+EXPLICIT = {
+    "method": "explicit_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 4,
+    "metrics_stride": 2,
+}
 
 
-@pytest.mark.parametrize("config", [EVI_MMD, SVGD], ids=["evi_mmd", "svgd"])
+@pytest.mark.parametrize(
+    "config", [EVI_MMD, SVGD, EXPLICIT], ids=["evi_mmd", "svgd", "explicit_mmd"]
+)
 def test_traced_child_run(tmp_path, config):
     raw = dict(config, n_reference=100, seed=3, out_dir=str(tmp_path / "run"))
     result_path = tmp_path / "r.json"
@@ -34,6 +40,10 @@ def test_traced_child_run(tmp_path, config):
     counts = result["trace"]["counts"]
     if raw["method"] == "svgd":
         assert counts["baselines.svgd_step.calls"] == 30
+    elif raw["method"] == "explicit_mmd":
+        # one gradient per step, one objective value per recorded row
+        assert counts["free_energy.value_and_grad.calls"] == 4
+        assert counts["free_energy.value.calls"] == 2
     else:
         assert counts["free_energy.value_and_grad.calls"] > 0
         assert "free_energy.value.calls" not in counts

@@ -51,6 +51,13 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert "bandwidth" in str(err.value)
 
+    def test_field_name_max_iter_is_not_a_key(self):
+        raw = {"method": "evi_mmd", "target": "eight", "N": 10, "max_iter": 5}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.field == "max_iter"
+        assert "'maxIter'" in str(err.value)
+
     def test_missing_required_key(self):
         raw = {"method": "evi_mmd", "target": "eight", "N": 10}
         with pytest.raises(ConfigError) as err:

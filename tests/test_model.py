@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -60,6 +62,31 @@ class TestDensityTarget:
             domain_box=(np.zeros(3), np.ones(3)),
         )
         assert t.dim == 3
+
+    def test_fused_evaluation_defaults_to_the_separate_callables(self):
+        t = DensityTarget(
+            density=lambda x: np.full(len(x), 2.0),
+            grad_density=lambda x: np.full_like(x, 3.0),
+            domain_box=(np.zeros(2), np.ones(2)),
+        )
+        vals, grads = t.density_and_grad(np.zeros((4, 2)))
+        np.testing.assert_array_equal(vals, np.full(4, 2.0))
+        np.testing.assert_array_equal(grads, np.full((4, 2), 3.0))
+        # a copy with a new density evaluates the new one
+        copy = dataclasses.replace(t, density=lambda x: np.full(len(x), 5.0))
+        np.testing.assert_array_equal(copy.density_and_grad(np.zeros((1, 2)))[0], [5.0])
+
+    def test_given_fused_evaluation_is_kept(self):
+        def fused(x):
+            return np.ones(len(x)), np.zeros_like(x)
+
+        t = DensityTarget(
+            density=lambda x: np.ones(len(x)),
+            grad_density=lambda x: np.zeros_like(x),
+            domain_box=(np.zeros(2), np.ones(2)),
+            density_and_grad=fused,
+        )
+        assert t.density_and_grad is fused
 
     def test_rejects_inverted_box(self):
         with pytest.raises(InvalidArgumentError):

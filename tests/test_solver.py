@@ -11,13 +11,16 @@ from evi_mmd import (
     SolverConfig,
     auto_schedule,
     bandwidth_at,
+    KernelConfig,
+    McNoise,
     evi_mmd_run,
+    free_energy,
     isotropic_gaussian,
     lbfgs_minimize,
     median_pairwise_distance,
     proximal_objective,
 )
-from evi_mmd.solver import LbfgsState, implicit_step, run_loop
+from evi_mmd.solver import LbfgsState, draw_minibatch, implicit_step, run_loop
 
 
 def quadratic_bowl(center):
@@ -341,3 +344,43 @@ class TestEviMmdRun:
             run_loop(np.zeros((2, 2)), 10, step)
         assert err.value.partial_record is not None
         assert len(err.value.partial_record) == 2
+
+
+class TestRandomStreamLayout:
+    """``rng`` spawns two streams: the first draws the Monte-Carlo noise once,
+    the second draws the mini-batches.  The first iteration's anchor
+    objective is the free energy of the initial particles on that input."""
+
+    SEED = 21
+
+    def _first_anchor_objective(self, target, schedule, init, mc_samples):
+        infos = []
+        cfg = SolverConfig(tau_star=1.0, mc_samples=mc_samples, max_iter=1)
+        evi_mmd_run(
+            target, schedule, cfg, np.random.default_rng(self.SEED), init,
+            on_iteration=infos.append,
+        )
+        return infos[0].anchor_objective
+
+    def test_density_noise_from_first_stream(self):
+        target = isotropic_gaussian(2, 1.0)
+        schedule = BandwidthSchedule(a=1.5, b=0.1, c=0.5)
+        init = np.random.default_rng(4).uniform(-2, 2, size=(12, 2))
+        noise = McNoise.draw(np.random.default_rng(self.SEED).spawn(2)[0], 40, 2)
+        expect = free_energy(
+            init, target, KernelConfig.gaussian(bandwidth_at(schedule, 1)), noise=noise
+        )
+        got = self._first_anchor_objective(target, schedule, init, 40)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_minibatch_from_second_stream(self):
+        rng = np.random.default_rng(5)
+        target = EmpiricalTarget(rng.normal(size=(60, 2)), minibatch_size=15)
+        schedule = BandwidthSchedule(a=1.5, b=0.1, c=0.5)
+        init = rng.uniform(-2, 2, size=(12, 2))
+        batch = draw_minibatch(target, np.random.default_rng(self.SEED).spawn(2)[1])
+        expect = free_energy(
+            init, target, KernelConfig.gaussian(bandwidth_at(schedule, 1)), batch=batch
+        )
+        got = self._first_anchor_objective(target, schedule, init, 40)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
