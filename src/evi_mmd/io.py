@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -1,9 +1,13 @@
 """Kernel evaluations, Gram matrices, and analytic kernel gradients.
 
-Everything here is pure and deterministic: pairwise terms are computed with
-chunked broadcasting (no BLAS dispatch), so results are bit-identical across
-runs and thread settings.  Gram matrices are materialized in full; particle
-counts in this package stay in the hundreds, so O(N^2 d) is fine.
+Everything here is pure and deterministic.  Squared distances accumulate
+one coordinate at a time with in-place ufuncs (no einsum, no BLAS), so
+results are bit-identical across runs and thread settings.  At d <= 2 they
+also round exactly as the einsum formula ``sum_j (a_j - b_j)**2`` evaluated
+by ``np.einsum("ijd,ijd->ij")`` does; at d >= 3 that einsum groups its sum
+differently, and the two agree to rtol 1e-13 (``tests/test_kernels.py``).
+Gram matrices are materialized in full; particle counts in this package stay
+in the hundreds, so O(N^2 d) is fine.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig
 
-# Rows per broadcasting chunk; bounds transient memory at ~chunk * M * d floats.
+# Rows of ``a`` per chunk; bounds the scratch buffer at chunk * M floats.
 _CHUNK = 256
 
 
@@ -73,31 +77,49 @@ def neg_euclid_eval(x, y) -> float:
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances between rows of a and b.
 
-    Chunked over rows of ``a`` so memory stays bounded for large row counts.
+    Accumulates ``(a[:, j] - b[:, j])**2`` over coordinates j in order, a
+    chunk of rows of ``a`` at a time so the scratch buffer stays at
+    ``_CHUNK * M`` floats however many rows ``a`` has.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    out = np.empty((n, b.shape[0]), dtype=float)
+    if a.shape[1] != b.shape[1]:
+        # The coordinate loop would otherwise read a short side out of range
+        # or drop the extra coordinates of a long one.
+        raise InvalidArgumentError(
+            f"dimension mismatch: a has d={a.shape[1]}, b has d={b.shape[1]}"
+        )
+    n, m = a.shape[0], b.shape[0]
+    b_coords = np.ascontiguousarray(b.T)
+    out = np.zeros((n, m))
+    term = np.empty((min(n, _CHUNK), m))
     for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        diff = a[start:stop, None, :] - b[None, :, :]
-        out[start:stop] = np.einsum("ijd,ijd->ij", diff, diff)
+        rows = out[start : start + _CHUNK]
+        buf = term[: rows.shape[0]]
+        for j, b_j in enumerate(b_coords):
+            np.subtract.outer(a[start : start + _CHUNK, j], b_j, out=buf)
+            np.multiply(buf, buf, out=buf)
+            rows += buf
     return out
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, computed as sqrt of squared norms
     clamped at zero so round-off cannot leak under the sqrt."""
-    return np.sqrt(np.maximum(squared_distances(a, b), 0.0))
+    out = squared_distances(a, b)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> np.ndarray:
     if kernel.kind == GAUSSIAN:
-        sq = squared_distances(a, b)
-        return np.exp(-sq / (2.0 * kernel.bandwidth**2))
+        out = squared_distances(a, b)
+        np.negative(out, out=out)
+        out /= 2.0 * kernel.bandwidth**2
+        return np.exp(out, out=out)
     if kernel.kind == NEGATIVE_EUCLIDEAN:
-        return -pairwise_distances(a, b)
+        out = pairwise_distances(a, b)
+        return np.negative(out, out=out)
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 

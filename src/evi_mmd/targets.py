@@ -16,6 +16,10 @@ from .errors import InvalidArgumentError
 from .model import DensityTarget, _frozen_array
 
 _WEIGHT_TOL = 1e-12
+# Probe rows per pass of the mixture sweep: the pass's (d, rows) scratch
+# buffers then stay in a core's L2 cache.  On a 2 MiB-L2 Xeon, 100k 2-d probes
+# swept at once ran about twice as slow as in 8192-row passes.
+_SWEEP_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,14 @@ class GaussianMixture:
     Validates that the weights form a probability vector and every covariance
     is symmetric positive definite; precomputed inverses, Cholesky factors,
     and normalizing constants make batched evaluation cheap.
+
+    Densities and gradients are summed over components in component order,
+    and every sum over coordinates runs in coordinate order from the j = 0
+    term, with plain ufunc arithmetic (no einsum, no BLAS).  At d <= 2 the
+    results are bit-identical to the einsum formula ``pulled =
+    einsum("nd,de->ne", x - mean, inv)``, ``quad = einsum("nd,nd->n", x -
+    mean, pulled)``; at d >= 3 einsum groups those sums differently, and the
+    two agree to rtol 1e-13 (``tests/test_targets.py``).
     """
 
     weights: np.ndarray
@@ -74,22 +86,48 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def _accumulate(self, x: np.ndarray, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
-        # Loop over the few components rather than broadcasting across them:
-        # the (n, K, d, d) einsum path is several times slower on large probe
-        # batches, which dominate the solver's hot loop.
+        # Sweep the probes in passes of _SWEEP_ROWS rows, each on a
+        # coordinate-major (d, rows) copy so every ufunc runs on contiguous
+        # rows of one coordinate.
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
-        dens = np.zeros(n)
-        grad = np.zeros_like(x) if with_grad else None
+        dens = np.empty(n)
+        grad = np.empty_like(x) if with_grad else None
+        for start in range(0, n, _SWEEP_ROWS):
+            rows = slice(start, start + _SWEEP_ROWS)
+            dens[rows], grad_t = self._sweep(np.ascontiguousarray(x[rows].T), with_grad)
+            if with_grad:
+                for j, grad_j in enumerate(grad_t):
+                    grad[rows, j] = grad_j
+        return dens, grad
+
+    def _sweep(self, coords: np.ndarray, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Density (m,) and transposed gradient (d, m) at the m columns of
+        ``coords``, in place in scratch buffers of (d, m) floats."""
+        d, m = coords.shape
+        diff, pulled, prod = np.empty((3, d, m))
+        comp = np.empty(m)
+        dens = np.zeros(m)
+        grad_t = np.zeros((d, m)) if with_grad else None
         for k in range(self.n_components):
-            diff = x - self.means[k]
-            pulled = np.einsum("nd,de->ne", diff, self._inv[k])
-            quad = np.einsum("nd,nd->n", diff, pulled)
-            comp = self._norm[k] * np.exp(-0.5 * quad)
+            inv = self._inv[k]
+            np.subtract(coords, self.means[k][:, None], out=diff)
+            # pulled[e] = sum_j diff[j] * inv[j, e]
+            np.multiply(diff[0], inv[0][:, None], out=pulled)
+            for j in range(1, d):
+                np.multiply(diff[j], inv[j][:, None], out=prod)
+                pulled += prod
+            # comp = norm * exp(-0.5 * sum_j diff[j] * pulled[j])
+            np.multiply(diff[0], pulled[0], out=comp)
+            for j in range(1, d):
+                comp += np.multiply(diff[j], pulled[j], out=prod[0])
+            comp *= -0.5
+            np.exp(comp, out=comp)
+            comp *= self._norm[k]
             dens += comp
             if with_grad:
-                grad -= comp[:, None] * pulled
-        return dens, grad
+                grad_t -= np.multiply(comp, pulled, out=prod)
+        return dens, grad_t
 
     def density(self, x: np.ndarray) -> np.ndarray:
         dens, _ = self._accumulate(x, with_grad=False)

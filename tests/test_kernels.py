@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evi_mmd import InvalidArgumentError, KernelConfig
+from evi_mmd import kernels
 from evi_mmd.kernels import (
     cross_gram,
     gauss_eval,
@@ -12,6 +13,7 @@ from evi_mmd.kernels import (
     gram,
     neg_euclid_eval,
     pairwise_distances,
+    squared_distances,
 )
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -190,3 +192,87 @@ class TestGramMatrices:
         dist = pairwise_distances(pts, pts)
         sub = pairwise_distances(pts[250:], pts)
         np.testing.assert_array_equal(dist[250:], sub)
+
+
+def einsum_squared_distances(a, b):
+    """The einsum formula of the squared-distance kernel, kept as its
+    reference."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijd,ijd->ij", diff, diff)
+
+
+def einsum_kernel_matrices(a, b, h):
+    """Squared distances, distances, and Gaussian and energy kernel matrices
+    by the einsum formula."""
+    sq = einsum_squared_distances(a, b)
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    return sq, dist, np.exp(-sq / (2.0 * h**2)), -dist
+
+
+def kernel_matrices(a, b, h, square):
+    """The same four matrices from the package; ``square`` builds the kernel
+    matrices with ``gram`` (diagonal set exactly), else with ``cross_gram``."""
+    if square:
+        gauss = gram(a, KernelConfig.gaussian(h))
+        energy = gram(a, KernelConfig.negative_euclidean())
+    else:
+        gauss = cross_gram(a, b, KernelConfig.gaussian(h))
+        energy = cross_gram(a, b, KernelConfig.negative_euclidean())
+    return squared_distances(a, b), pairwise_distances(a, b), gauss, energy
+
+
+class TestCoordinateAccumulation:
+    """Squared distances summed one coordinate at a time against the einsum
+    formula: bitwise at d <= 2, within rtol 1e-13 at d >= 3 where einsum
+    groups its sum differently."""
+
+    @pytest.mark.parametrize("square", [False, True], ids=["cross", "gram"])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_matches_einsum(self, d, square):
+        rng = np.random.default_rng(d)
+        a = rng.normal(scale=2.0, size=(300, d))
+        b = a if square else rng.normal(size=(70, d))
+        got = kernel_matrices(a, b, 1.3, square)
+        ref = list(einsum_kernel_matrices(a, b, 1.3))
+        if square:
+            np.fill_diagonal(ref[2], 1.0)
+            np.fill_diagonal(ref[3], 0.0)
+        for g, r in zip(got, ref):
+            if d <= 2:
+                np.testing.assert_array_equal(g, r)
+            else:
+                np.testing.assert_allclose(g, r, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
+    def test_chunked_equals_unchunked(self, rows, monkeypatch):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 3))
+        b = rng.normal(size=(40, 3))
+        chunked = [squared_distances(a, b), gram(a, KernelConfig.gaussian(0.9))]
+        monkeypatch.setattr(kernels, "_CHUNK", 10**6)
+        unchunked = [squared_distances(a, b), gram(a, KernelConfig.gaussian(0.9))]
+        for c, u in zip(chunked, unchunked):
+            np.testing.assert_array_equal(c, u)
+
+    @pytest.mark.parametrize(
+        "kernel,diagonal",
+        [(KernelConfig.gaussian(0.7), 1.0), (KernelConfig.negative_euclidean(), 0.0)],
+        ids=["gaussian", "negative_euclidean"],
+    )
+    def test_gram_exactly_symmetric_with_fixed_diagonal(self, kernel, diagonal):
+        pts = np.random.default_rng(4).normal(size=(300, 5))
+        k = gram(pts, kernel)
+        np.testing.assert_array_equal(k, k.T)
+        assert np.all(np.diag(k) == diagonal)
+
+    def test_empty_sides_and_zero_dimension(self):
+        assert squared_distances(np.empty((0, 2)), np.ones((3, 2))).shape == (0, 3)
+        assert squared_distances(np.ones((3, 2)), np.empty((0, 2))).shape == (3, 0)
+        np.testing.assert_array_equal(
+            squared_distances(np.empty((2, 0)), np.empty((3, 0))), np.zeros((2, 3))
+        )
+
+    @pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (1, 2), (2, 1)])
+    def test_dimension_mismatch_rejected(self, da, db):
+        with pytest.raises(InvalidArgumentError):
+            pairwise_distances(np.zeros((2, da)), np.zeros((4, db)))

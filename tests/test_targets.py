@@ -11,7 +11,7 @@ from evi_mmd import (
     star_mixture,
     wave_density,
 )
-from evi_mmd.targets import EIGHT_MIXTURE_MEANS
+from evi_mmd.targets import _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
 
 
 def integrate_2d(density, box, n_nodes=801):
@@ -31,6 +31,51 @@ def finite_diff_rows(density, pts, step=1e-6):
         e[j] = step
         out[:, j] = (density(pts + e) - density(pts - e)) / (2 * step)
     return out
+
+
+def einsum_accumulate(mixture, x):
+    """The einsum formula of the mixture sweep, kept as its reference."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dens = np.zeros(x.shape[0])
+    grad = np.zeros_like(x)
+    for k in range(mixture.n_components):
+        diff = x - mixture.means[k]
+        pulled = np.einsum("nd,de->ne", diff, mixture._inv[k])
+        quad = np.einsum("nd,nd->n", diff, pulled)
+        comp = mixture._norm[k] * np.exp(-0.5 * quad)
+        dens += comp
+        grad -= comp[:, None] * pulled
+    return dens, grad
+
+
+def gradient_term_scale(mixture, x):
+    """Sum over components of comp_k * (|diff| @ |inv_k|): the size of the
+    terms each gradient entry sums, so a relative bound on it holds where the
+    terms cancel."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    scale = np.zeros_like(x)
+    for k in range(mixture.n_components):
+        diff = x - mixture.means[k]
+        quad = np.einsum("nd,de,ne->n", diff, mixture._inv[k], diff)
+        comp = mixture._norm[k] * np.exp(-0.5 * quad)
+        scale += comp[:, None] * (np.abs(diff) @ np.abs(mixture._inv[k]))
+    return scale
+
+
+def random_mixture(d, seed, k=4):
+    """K-component mixture with random weights, means and full covariances."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, d, d))
+    cov = a @ np.swapaxes(a, 1, 2) / d + 0.5 * np.eye(d)
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    w = rng.uniform(0.5, 1.5, size=k)
+    return GaussianMixture(
+        weights=w / w.sum(), means=rng.normal(size=(k, d)), covariances=cov
+    )
+
+
+def mixture_of(target):
+    return target.density_and_grad.__self__
 
 
 ALL_BUILTINS = {
@@ -214,3 +259,87 @@ def test_fused_density_and_grad_agrees(name):
     vals, grads = target.density_and_grad(pts)
     np.testing.assert_array_equal(vals, target.density(pts))
     np.testing.assert_array_equal(grads, target.grad_density(pts))
+
+
+SWEEP_BUILTINS = {
+    "star": star_mixture,
+    "eight": eight_mixture,
+    "gaussian1": lambda: isotropic_gaussian(1, 1.0),
+    "gaussian2": lambda: isotropic_gaussian(2, 0.7),
+}
+
+
+class TestMixtureSweep:
+    """The per-coordinate sweep against the einsum formula: bitwise at
+    d <= 2, within rtol 1e-13 at d >= 3 where einsum groups its sums
+    differently."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_BUILTINS))
+    def test_bitwise_equal_to_einsum_on_builtins(self, name):
+        mixture = mixture_of(SWEEP_BUILTINS[name]())
+        # Rows enough for three passes of the sweep, the last one short.
+        rows = 2 * _SWEEP_ROWS + 5
+        pts = np.random.default_rng(17).normal(scale=3.0, size=(rows, mixture.dim))
+        vals, grads = mixture.density_and_grad(pts)
+        ref_vals, ref_grads = einsum_accumulate(mixture, pts)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(grads, ref_grads)
+
+    @pytest.mark.parametrize("d", [3, 5, 10])
+    def test_close_to_einsum_in_higher_dimension(self, d):
+        mixture = random_mixture(d, seed=d)
+        rng = np.random.default_rng(100 + d)
+        comp = rng.integers(mixture.n_components, size=2000)
+        pts = mixture.means[comp] + rng.normal(size=(2000, d))
+        vals, grads = mixture.density_and_grad(pts)
+        ref_vals, ref_grads = einsum_accumulate(mixture, pts)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-13, atol=0)
+        # Entries whose terms cancel are held to rtol against the terms' size.
+        bound = 1e-13 * gradient_term_scale(mixture, pts)
+        assert np.all(np.abs(grads - ref_grads) <= bound)
+
+    @pytest.mark.parametrize(
+        "mixture",
+        [mixture_of(eight_mixture()), mixture_of(isotropic_gaussian(3, 1.0))]
+        + [random_mixture(d, seed=d) for d in (5, 10)],
+        ids=["eight", "gaussian3", "random5", "random10"],
+    )
+    def test_density_bitwise_equal_to_fused_value(self, mixture):
+        pts = np.random.default_rng(3).normal(size=(500, mixture.dim))
+        np.testing.assert_array_equal(
+            mixture.density(pts), mixture.density_and_grad(pts)[0]
+        )
+
+    @pytest.mark.parametrize(
+        "make,point",
+        [(lambda: isotropic_gaussian(1, 1.0), [0.3]), (eight_mixture, [0.1, 3.7])],
+        ids=["gaussian1", "eight"],
+    )
+    def test_single_unbatched_point(self, make, point):
+        mixture = mixture_of(make())
+        vals, grads = mixture.density_and_grad(np.array(point))
+        ref_vals, ref_grads = einsum_accumulate(mixture, np.array(point))
+        assert vals.shape == (1,) and grads.shape == (1, len(point))
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(grads, ref_grads)
+        np.testing.assert_array_equal(mixture.density(np.array(point)), ref_vals)
+
+    def test_zero_rows(self):
+        mixture = mixture_of(eight_mixture())
+        vals, grads = mixture.density_and_grad(np.empty((0, 2)))
+        assert vals.shape == (0,) and grads.shape == (0, 2)
+        assert mixture.density(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda x: x[::2], np.asfortranarray, lambda x: np.asfortranarray(x)[::3]],
+        ids=["strided", "fortran", "fortran-strided"],
+    )
+    def test_non_contiguous_input(self, layout):
+        mixture = mixture_of(star_mixture())
+        pts = layout(np.random.default_rng(5).normal(size=(301, 2)))
+        vals, grads = mixture.density_and_grad(pts)
+        ref_vals, ref_grads = einsum_accumulate(mixture, pts)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(grads, ref_grads)
+        assert grads.flags.c_contiguous == ref_grads.flags.c_contiguous
