@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 # density_closures is unused here; bench/tracing.py looks it up in this module.
 from .free_energy import density_closures, empirical_closures  # noqa: F401
-from .kernels import gram, pairwise_distances
+from .kernels import gram, pairwise_distances, weighted_differences
 from .model import (
     BandwidthSchedule,
     DensityTarget,
@@ -177,9 +177,9 @@ def svgd_step(
     w = gram(particles, KernelConfig.gaussian(bandwidth))
     score = _grad_log_density(target, particles)
     drift = np.einsum("ji,jd->id", w, score)
-    repulsion = (
-        particles * w.sum(axis=0)[:, None] - np.einsum("ji,jd->id", w, particles)
-    ) / h2
+    # w.T, not w: w is symmetric, but the transposed view keeps the column
+    # sums' order, so the bytes match the sum over j of grad_{x_j} K(x_j, x_i)
+    repulsion = weighted_differences(particles, particles, w.T) / h2
     return particles + eta0 / n * (drift + repulsion)
 
 

@@ -20,6 +20,12 @@ kept apart as the reference the gradient is tested against and for recording
 objective values; :func:`grad_free_energy` delegates to the branch's
 value-and-gradient closure.
 
+The gradient of each kernel double sum, sum_ij K(x_i, y_j), is
+-sum_j w_ij (x_i - y_j) / c (:func:`evi_mmd.kernels.weighted_differences`):
+w = K, c = h^2 for the Gaussian kernel; w = 1/|x_i - y_j| (0 on coincident
+pairs), c = 1 for the energy distance, whose gradient entries match the sum
+of unit vectors to 1e-13 of the summed terms' size, sum_j w_ij (|x_i| + |y_j|).
+
 Because the constant term is dropped, values can be negative; they differ
 from the full squared discrepancy by a constant (see :mod:`evi_mmd.metrics`
 for the full version used in reporting).
@@ -33,10 +39,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _check_matrix, cross_gram, gram, pairwise_distances
+from .kernels import _check_bandwidth, _check_matrix, cross_gram, gram, weighted_differences
 from .model import (
     GAUSSIAN,
-    NEGATIVE_EUCLIDEAN,
     DensityTarget,
     EmpiricalTarget,
     KernelConfig,
@@ -98,9 +103,7 @@ def cross_term_density(
 ) -> float:
     """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l)."""
     particles = _check_matrix(particles, "particles")
-    h = float(h)
-    if not np.isfinite(h) or h <= 0:
-        raise InvalidArgumentError(f"bandwidth must be > 0, got {h!r}")
+    h = _check_bandwidth(h)
     probes = _density_probes(particles, h, noise)
     vals = np.asarray(target.density(probes), dtype=float)
     c_h = gaussian_normalizer(particles.shape[1], h)
@@ -130,39 +133,29 @@ def _require_density_kernel(kernel: KernelConfig) -> float:
     return kernel.bandwidth
 
 
+def _kernel_sum_and_grad(
+    x: np.ndarray, y: np.ndarray, k: np.ndarray, kernel: KernelConfig
+) -> Tuple[float, np.ndarray, float]:
+    """sum_ij K(x_i, y_j) and (W, c) with gradient -W / c in x, from the
+    kernel matrix k[i, j] = K(x_i, y_j)."""
+    if kernel.kind == GAUSSIAN:
+        w, c = k, kernel.bandwidth**2
+    else:
+        # K = -|x_i - y_j|; coincident pairs (K = 0) get weight 0
+        w, c = np.divide(-1.0, k, out=np.zeros_like(k), where=k < 0.0), 1.0
+    return float(k.sum()), weighted_differences(x, y, w), c
+
+
 def _square_term_and_grad(
     particles: np.ndarray, kernel: KernelConfig
 ) -> Tuple[float, np.ndarray]:
     """:func:`square_term` and its gradient, whose row i is
     (2/N^2) sum_j d/dx_i K(x_i, x_j)."""
     n = particles.shape[0]
-    if kernel.kind == GAUSSIAN:
-        w = gram(particles, kernel)
-        h2 = kernel.bandwidth**2
-        weighted = particles * w.sum(axis=1)[:, None] - np.einsum(
-            "ij,jd->id", w, particles
-        )
-        return float(w.sum()) / (n * n), -2.0 / (n * n * h2) * weighted
-    if kernel.kind == NEGATIVE_EUCLIDEAN:
-        units, dist = _unit_differences(particles, particles, zero_diagonal=True)
-        return -float(dist.sum()) / (n * n), -2.0 / (n * n) * units.sum(axis=1)
-    raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
-
-
-def _unit_differences(
-    a: np.ndarray, b: np.ndarray, zero_diagonal: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(x_i - y_j)/|x_i - y_j| with coincident pairs mapped to 0, and the
-    distances |x_i - y_j| they were computed from."""
-    diff = a[:, None, :] - b[None, :, :]
-    dist = pairwise_distances(a, b)
-    safe = np.where(dist > 0.0, dist, 1.0)
-    units = diff / safe[:, :, None]
-    units[dist == 0.0] = 0.0
-    if zero_diagonal and a.shape[0] == b.shape[0]:
-        idx = np.arange(a.shape[0])
-        units[idx, idx] = 0.0
-    return units, dist
+    total, weighted, c = _kernel_sum_and_grad(
+        particles, particles, gram(particles, kernel), kernel
+    )
+    return total / (n * n), -2.0 / (n * n * c) * weighted
 
 
 ValueFn = Callable[[np.ndarray], float]
@@ -214,16 +207,8 @@ def empirical_closures(
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        if kernel.kind == GAUSSIAN:
-            w = cross_gram(x, batch, kernel)
-            h2 = kernel.bandwidth**2
-            weighted = x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, batch)
-            cross, cross_grad = float(w.sum()) / m, -weighted / (h2 * m)
-        elif kernel.kind == NEGATIVE_EUCLIDEAN:
-            units, dist = _unit_differences(x, batch, zero_diagonal=False)
-            cross, cross_grad = -float(dist.sum()) / m, -units.sum(axis=1) / m
-        else:
-            raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
+        total, weighted, c = _kernel_sum_and_grad(x, batch, cross_gram(x, batch, kernel), kernel)
+        cross, cross_grad = total / m, -weighted / (c * m)
         square, square_grad = _square_term_and_grad(x, kernel)
         return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 

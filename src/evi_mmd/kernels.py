@@ -8,6 +8,9 @@ by ``np.einsum("ijd,ijd->ij")`` does; at d >= 3 that einsum groups its sum
 differently, and the two agree to rtol 1e-13 (``tests/test_kernels.py``).
 Gram matrices are materialized in full; particle counts in this package stay
 in the hundreds, so O(N^2 d) is fine.
+
+Every kernel-sum gradient (free-energy terms, SVGD repulsion) has the one
+form sum_j w_ij (x_i - y_j), computed by :func:`weighted_differences`.
 """
 
 from __future__ import annotations
@@ -144,3 +147,9 @@ def cross_gram(a, b, kernel: KernelConfig) -> np.ndarray:
             f"dimension mismatch: a has d={a.shape[1]}, b has d={b.shape[1]}"
         )
     return _kernel_matrix(a, b, kernel)
+
+
+def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i is sum_j w_ij (x_i - y_j), computed as
+    x_i * sum_j w_ij - sum_j w_ij y_j (einsum without BLAS, so deterministic)."""
+    return x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, y)

@@ -32,7 +32,7 @@ from .model import (
     SolverConfig,
     initial_particles,
 )
-from .solver import IterationInfo, evi_mmd_run, median_pairwise_distance
+from .solver import IterationInfo, auto_schedule, evi_mmd_run
 from .targets import eight_mixture, isotropic_gaussian, star_mixture, wave_density
 
 # Stream offsets under the master seed.
@@ -131,10 +131,10 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
     init_rng = _stream(cfg.seed, STREAM_INIT)
     init = initial_particles(target, cfg.N, init_rng)
 
-    schedule_a = cfg.a
-    if schedule_a == "auto":
-        schedule_a = median_pairwise_distance(init)
-    schedule = BandwidthSchedule(a=float(schedule_a), b=cfg.b, c=cfg.c)
+    if cfg.a == "auto":
+        schedule = auto_schedule(init, cfg.b, cfg.c)
+    else:
+        schedule = BandwidthSchedule(a=float(cfg.a), b=cfg.b, c=cfg.c)
 
     reference = reference_samples(cfg, target, density)
     evaluator = RunEvaluator(reference, KernelConfig.gaussian(cfg.eval_bandwidth))

@@ -90,6 +90,8 @@ class GaussianMixture:
         # coordinate-major (d, rows) copy so every ufunc runs on contiguous
         # rows of one coordinate.
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise InvalidArgumentError(f"probes must be n x {self.dim}, got shape {x.shape}")
         n = x.shape[0]
         dens = np.empty(n)
         grad = np.empty_like(x) if with_grad else None

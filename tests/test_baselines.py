@@ -24,6 +24,7 @@ from evi_mmd import (
 from evi_mmd import baselines
 from evi_mmd.baselines import svgd_step
 from evi_mmd.free_energy import density_closures
+from evi_mmd.kernels import gram
 
 
 class TestLmcSchedule:
@@ -227,6 +228,24 @@ class TestSvgd:
             record_stride=10,
         )
         assert [r.n for r in record.rows] == [10, 20, 25]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [5, 200, 257])
+    def test_step_bitwise_equal_to_einsum_repulsion(self, n, d):
+        # The repulsion once read
+        #   (x * w.sum(axis=0)[:, None] - einsum("ji,jd->id", w, x)) / h^2;
+        # weighted_differences must see w.T to sum in that order.
+        target = isotropic_gaussian(d, 1.0)
+        pts = np.random.default_rng(n + d).normal(size=(n, d))
+        h, eta0 = 0.8, 0.3
+        w = gram(pts, KernelConfig.gaussian(h))
+        score = baselines._grad_log_density(target, pts)
+        drift = np.einsum("ji,jd->id", w, score)
+        repulsion = (
+            pts * w.sum(axis=0)[:, None] - np.einsum("ji,jd->id", w, pts)
+        ) / (h * h)
+        expect = pts + eta0 / n * (drift + repulsion)
+        np.testing.assert_array_equal(svgd_step(pts, target, h, eta0), expect)
 
 
 class TestLmc:

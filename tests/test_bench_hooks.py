@@ -18,10 +18,16 @@ EXPLICIT = {
     "method": "explicit_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 4,
     "metrics_stride": 2,
 }
+ENERGY = {
+    "method": "energy_distance", "target": "gaussian", "target_d": 2, "two_sample": True,
+    "M": 100, "N": 20, "L": 20, "maxIter": 2,
+}
 
 
 @pytest.mark.parametrize(
-    "config", [EVI_MMD, SVGD, EXPLICIT], ids=["evi_mmd", "svgd", "explicit_mmd"]
+    "config",
+    [EVI_MMD, SVGD, EXPLICIT, ENERGY],
+    ids=["evi_mmd", "svgd", "explicit_mmd", "energy_distance"],
 )
 def test_traced_child_run(tmp_path, config):
     raw = dict(config, n_reference=100, seed=3, out_dir=str(tmp_path / "run"))

@@ -22,10 +22,13 @@ from evi_mmd import (
     square_term,
 )
 from evi_mmd.free_energy import (
+    _density_probes,
+    _kernel_sum_and_grad,
     density_closures,
     empirical_closures,
     gaussian_normalizer,
 )
+from evi_mmd.kernels import cross_gram, gram, pairwise_distances
 
 GAUSS1 = KernelConfig.gaussian(1.0)
 
@@ -328,6 +331,157 @@ class TestKernelMatrixCounts:
         vg_fn(rng.normal(size=(40, 2)))
         # one particle-particle and one particle-batch sweep
         assert len(sweeps) == 2
+
+
+def einsum_gaussian_sum_and_grad(x, y, kernel, square):
+    """The Gaussian kernel sum and its weighted differences by the explicit
+    formula the free-energy terms once wrote out, kept as their reference."""
+    w = gram(x, kernel) if square else cross_gram(x, y, kernel)
+    weighted = x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, y)
+    return float(w.sum()), weighted
+
+
+def einsum_gaussian_empirical(x, batch, kernel):
+    n, m = x.shape[0], batch.shape[0]
+    h2 = kernel.bandwidth**2
+    sq, sq_w = einsum_gaussian_sum_and_grad(x, x, kernel, square=True)
+    cr, cr_w = einsum_gaussian_sum_and_grad(x, batch, kernel, square=False)
+    square, square_grad = sq / (n * n), -2.0 / (n * n * h2) * sq_w
+    cross, cross_grad = cr / m, -cr_w / (h2 * m)
+    return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+
+def einsum_gaussian_density(x, target, kernel, noise):
+    n, d = x.shape
+    h = kernel.bandwidth
+    vals, grads = target.density_and_grad(_density_probes(x, h, noise))
+    scale = gaussian_normalizer(d, h) / noise.n_samples
+    cross = scale * float(vals.sum())
+    cross_grad = scale * grads.reshape(n, -1, d).sum(axis=1)
+    sq, sq_w = einsum_gaussian_sum_and_grad(x, x, kernel, square=True)
+    square, square_grad = sq / (n * n), -2.0 / (n * n * h**2) * sq_w
+    return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+
+def unit_differences(a, b):
+    """(x_i - y_j)/|x_i - y_j| with coincident pairs mapped to 0, and the
+    distances: the N x M x d energy-distance formula, kept as its reference."""
+    diff = a[:, None, :] - b[None, :, :]
+    dist = pairwise_distances(a, b)
+    safe = np.where(dist > 0.0, dist, 1.0)
+    units = diff / safe[:, :, None]
+    units[dist == 0.0] = 0.0
+    return units, dist
+
+
+def unit_difference_energy(x, batch):
+    """Energy-distance closure value and gradient from the unit vectors."""
+    n, m = x.shape[0], batch.shape[0]
+    sq_units, sq_dist = unit_differences(x, x)
+    cr_units, cr_dist = unit_differences(x, batch)
+    square, square_grad = -float(sq_dist.sum()) / (n * n), -2.0 / (n * n) * sq_units.sum(axis=1)
+    cross, cross_grad = -float(cr_dist.sum()) / m, -cr_units.sum(axis=1) / m
+    return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+
+def energy_term_scale(x, batch):
+    """Size of the terms the product form sums for each gradient entry:
+    2/(NM) sum_j w_ij (|x_i| + |y_j|) + 2/N^2 sum_k w_ik (|x_i| + |x_k|),
+    with w = 1/|x_i - y_j| and 0 on coincident pairs.  It bounds the
+    entry's sum_j |unit vector| component from above."""
+    n, m = x.shape[0], batch.shape[0]
+
+    def part(y):
+        dist = pairwise_distances(x, y)
+        w = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0.0)
+        return w.sum(axis=1)[:, None] * np.abs(x) + w @ np.abs(y)
+
+    return 2.0 / (n * m) * part(batch) + 2.0 / (n * n) * part(x)
+
+
+ENERGY = KernelConfig.negative_euclidean()
+# Energy-distance gradient entries agree with the unit-vector sum to this
+# fraction of energy_term_scale.
+ENERGY_GRAD_RTOL = 1e-13
+
+
+def assert_energy_matches_unit_vectors(x, batch):
+    _, vg_fn = empirical_closures(batch, ENERGY)
+    value, grad = vg_fn(x)
+    ref_value, ref_grad = unit_difference_energy(x, batch)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert value == ref_value
+    bound = ENERGY_GRAD_RTOL * energy_term_scale(x, batch)
+    assert np.all(np.abs(grad - ref_grad) <= bound)
+
+
+class TestOneGradientForm:
+    """Every kernel double sum takes its gradient from weighted_differences.
+    Gaussian closures are bitwise equal to the explicit formula; the energy
+    distance matches the unit-vector formula, its value bitwise and its
+    gradient within ENERGY_GRAD_RTOL of the summed terms' size."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_gaussian_empirical_closure_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(40, d))
+        batch = rng.normal(size=(33, d))
+        kernel = KernelConfig.gaussian(0.7)
+        _, vg_fn = empirical_closures(batch, kernel)
+        value, grad = vg_fn(x)
+        ref_value, ref_grad = einsum_gaussian_empirical(x, batch, kernel)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("d,sigma", [(2, 1.0), (3, 0.5)])
+    def test_gaussian_density_closure_bitwise(self, d, sigma):
+        target = isotropic_gaussian(d, sigma)
+        rng = np.random.default_rng(target.dim)
+        x = rng.normal(size=(25, target.dim))
+        noise = McNoise.draw(rng, 30, target.dim)
+        kernel = KernelConfig.gaussian(0.9)
+        _, vg_fn = density_closures(target, kernel, noise)
+        value, grad = vg_fn(x)
+        ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("n,m", [(30, 45), (200, 150)])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_energy_closure_against_unit_vectors(self, d, n, m):
+        rng = np.random.default_rng(100 * d + n)
+        assert_energy_matches_unit_vectors(rng.normal(size=(n, d)), rng.normal(size=(m, d)))
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10])
+    def test_energy_close_pairs_within_term_scale(self, gap):
+        # w = 1/gap makes the cancelling terms large; the bound follows them.
+        rng = np.random.default_rng(11)
+        x = rng.normal(loc=3.0, size=(20, 2))
+        batch = rng.normal(size=(25, 2))
+        x[5] = x[4] + gap
+        batch[7] = x[2] - gap
+        assert_energy_matches_unit_vectors(x, batch)
+
+    def test_energy_coincident_points_contribute_zero(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 2))
+        x[3] = x[1]  # two coincident particles
+        batch = np.vstack([rng.normal(size=(4, 2)), x[1], x[0]])
+        assert_energy_matches_unit_vectors(x, batch)
+        # Appending a batch row equal to particle 0 leaves its row unchanged
+        # (the sums are sequential below 8 terms, so adding 0 is exact).
+        def weighted(y):
+            return _kernel_sum_and_grad(x[:1], y, cross_gram(x[:1], y, ENERGY), ENERGY)[1]
+
+        np.testing.assert_array_equal(weighted(np.vstack([batch[:4], x[0]])), weighted(batch[:4]))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_energy_single_point_on_its_batch_has_zero_gradient(self, d):
+        point = np.full((1, d), 0.4)
+        _, vg_fn = empirical_closures(point.copy(), ENERGY)
+        value, grad = vg_fn(point)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_gaussian_normalizer_values():

@@ -14,6 +14,7 @@ from evi_mmd.kernels import (
     neg_euclid_eval,
     pairwise_distances,
     squared_distances,
+    weighted_differences,
 )
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -276,3 +277,53 @@ class TestCoordinateAccumulation:
     def test_dimension_mismatch_rejected(self, da, db):
         with pytest.raises(InvalidArgumentError):
             pairwise_distances(np.zeros((2, da)), np.zeros((4, db)))
+
+
+def loop_weighted_differences(x, y, w):
+    """sum_j w_ij (x_i - y_j) by a double loop over the pairs."""
+    out = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        for j in range(y.shape[0]):
+            out[i] += w[i, j] * (x[i] - y[j])
+    return out
+
+
+class TestWeightedDifferences:
+    """The one pairwise-gradient form against a double loop.  The loop sums
+    each difference and the helper sums x_i * sum_j w_ij and sum_j w_ij y_j
+    separately, so they agree to rtol 1e-13 of the summed terms' size."""
+
+    @staticmethod
+    def _assert_close(got, x, y, w):
+        ref = loop_weighted_differences(x, y, w)
+        scale = np.abs(w) @ np.abs(y) + np.abs(w).sum(axis=1)[:, None] * np.abs(x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_matches_double_loop(self, d, m):
+        rng = np.random.default_rng(10 * d + m)
+        x = rng.normal(size=(30, d))
+        y = rng.normal(size=(m, d))
+        w = rng.uniform(-1.0, 2.0, size=(30, m))
+        got = weighted_differences(x, y, w)
+        assert got.shape == (30, d)
+        self._assert_close(got, x, y, w)
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_zero_weight_rows_give_exact_zero(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(6, d))
+        y = rng.normal(size=(9, d))
+        w = rng.uniform(size=(6, 9))
+        w[[1, 4]] = 0.0
+        got = weighted_differences(x, y, w)
+        np.testing.assert_array_equal(got[[1, 4]], 0.0)
+        self._assert_close(got, x, y, w)
+
+    def test_single_pair_is_scaled_difference(self):
+        x = np.array([[1.5, -2.0, 0.25]])
+        y = np.array([[0.5, 1.0, 0.25]])
+        np.testing.assert_array_equal(
+            weighted_differences(x, y, np.array([[2.0]])), [[2.0, -6.0, 0.0]]
+        )

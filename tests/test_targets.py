@@ -324,6 +324,17 @@ class TestMixtureSweep:
         np.testing.assert_array_equal(grads, ref_grads)
         np.testing.assert_array_equal(mixture.density(np.array(point)), ref_vals)
 
+    @pytest.mark.parametrize("method", ["density", "density_and_grad"])
+    @pytest.mark.parametrize(
+        "make,cols",
+        [(lambda: isotropic_gaussian(1, 1.0), 2), (eight_mixture, 1), (eight_mixture, 3)],
+        ids=["1d-mixture-2-columns", "eight-1-column", "eight-3-columns"],
+    )
+    def test_probe_dimension_mismatch_rejected(self, make, cols, method):
+        mixture = mixture_of(make())
+        with pytest.raises(InvalidArgumentError, match="probes"):
+            getattr(mixture, method)(np.zeros((4, cols)))
+
     def test_zero_rows(self):
         mixture = mixture_of(eight_mixture())
         vals, grads = mixture.density_and_grad(np.empty((0, 2)))
