@@ -13,7 +13,11 @@ Two target branches share the particle-particle "square term":
 Each branch has one value-and-gradient implementation, the second closure
 of :func:`density_closures` / :func:`empirical_closures`; the solver calls it
 once per trial point.  It builds each kernel matrix once and, on the density
-branch, makes one fused density/gradient sweep over the probes.  The
+branch, makes one call of the target's ``shifted_density_and_grad`` with the
+offsets h * xi: the density at the N·L probes x_i + h xi_l and each
+particle's gradient summed over l.  Mixture targets sweep the probes without
+building them; other targets fall back to ``density_and_grad`` on the probe
+matrix (:class:`evi_mmd.model.DensityTarget`), with the same bytes.  The
 value-only ops (:func:`square_term`, :func:`cross_term_density`,
 :func:`cross_term_empirical`, and :func:`free_energy` built from them) are
 kept apart as the reference the gradient is tested against and for recording
@@ -46,6 +50,7 @@ from .model import (
     EmpiricalTarget,
     KernelConfig,
     _frozen_array,
+    _shifted_probes,
 )
 
 
@@ -94,8 +99,7 @@ def _density_probes(particles: np.ndarray, h: float, noise: McNoise) -> np.ndarr
         raise InvalidArgumentError(
             f"noise dimension {noise.dim} does not match particles d={particles.shape[1]}"
         )
-    probes = particles[:, None, :] + h * noise.xi[None, :, :]
-    return probes.reshape(-1, particles.shape[1])
+    return _shifted_probes(particles, h * noise.xi)
 
 
 def cross_term_density(
@@ -166,11 +170,13 @@ def density_closures(
     target: DensityTarget, kernel: KernelConfig, noise: McNoise
 ) -> Tuple[ValueFn, ValueGradFn]:
     """Value and value+gradient closures over the particle matrix for the
-    density branch.  The value+gradient closure makes one density/gradient
-    sweep over the Monte-Carlo probes and builds the Gram matrix once."""
+    density branch.  The value+gradient closure makes one call of the
+    target's ``shifted_density_and_grad`` with the offsets h * xi, scaled once
+    per closure, and builds the Gram matrix once."""
     h = _require_density_kernel(kernel)
     if noise is None:
         raise InvalidArgumentError("density branch requires frozen McNoise")
+    offsets = h * noise.xi
 
     def value(x: np.ndarray) -> float:
         x = _check_matrix(x, "particles")
@@ -180,10 +186,10 @@ def density_closures(
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         n, d = x.shape
-        vals, grads = target.density_and_grad(_density_probes(x, h, noise))
+        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
         scale = gaussian_normalizer(d, h) / noise.n_samples
-        cross = scale * float(np.asarray(vals, dtype=float).sum())
-        cross_grad = scale * np.asarray(grads, dtype=float).reshape(n, -1, d).sum(axis=1)
+        cross = scale * float(vals.sum())
+        cross_grad = scale * grad_sums
         square, square_grad = _square_term_and_grad(x, kernel)
         return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 

@@ -77,6 +77,16 @@ class DensityTarget:
     validation data for evaluation metrics.  ``density_and_grad`` is the
     fused evaluation the samplers call; it must agree with the two separate
     callables, and when it is not given it calls them one after the other.
+
+    ``shifted_density_and_grad`` (x, offsets) -> (vals, grad_sums) is the
+    density-branch cross term's evaluation: for N particles x (N, d) and L
+    offsets (L, d) it returns the density at the N·L probes x_i + o_l, in
+    i-major order, and the (N, d) sums over l of their gradients.  When it is
+    not given it builds the (N·L, d) probe matrix, calls ``density_and_grad``
+    on it and sums the gradients with ``reshape(N, L, d).sum(axis=1)``; a
+    given one must agree with that (the mixtures' returns the same bytes).
+    Both reject offsets that are not L x d with L >= 1 and particles whose d
+    is not the target's.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -85,6 +95,9 @@ class DensityTarget:
     exact_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     density_and_grad: Optional[
         Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    ] = None
+    shifted_density_and_grad: Optional[
+        Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     ] = None
 
     def __post_init__(self):
@@ -98,11 +111,15 @@ class DensityTarget:
         if not np.all(lower < upper):
             raise InvalidArgumentError("domain_box requires lower < upper per coordinate")
         object.__setattr__(self, "domain_box", (lower, upper))
-        # Rebuilt when copied with ``dataclasses.replace``, so that it calls
-        # the copy's own density and gradient.
+        # The fallbacks are rebuilt when copied with ``dataclasses.replace``,
+        # so that they call the copy's own callables.
         if self.density_and_grad is None or isinstance(self.density_and_grad, _Separate):
             fused = _Separate(self.density, self.grad_density)
             object.__setattr__(self, "density_and_grad", fused)
+        shifted = self.shifted_density_and_grad
+        if shifted is None or isinstance(shifted, _ProbeSweep):
+            shifted = _ProbeSweep(self.density_and_grad, self.dim)
+            object.__setattr__(self, "shifted_density_and_grad", shifted)
 
     @property
     def dim(self) -> int:
@@ -118,6 +135,40 @@ class _Separate:
 
     def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.density(x), self.grad_density(x)
+
+
+def _check_shifts(x, offsets, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Particles (N, dim) and offsets (L, dim), L >= 1, as float arrays."""
+    x = np.asarray(x, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim != 2 or offsets.shape[0] < 1 or offsets.shape[1] != dim:
+        raise InvalidArgumentError(
+            f"offsets must be L x {dim} with L >= 1, got shape {offsets.shape}"
+        )
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise InvalidArgumentError(f"particles must be n x {dim}, got shape {x.shape}")
+    return x, offsets
+
+
+def _shifted_probes(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The N·L probes x_i + o_l as an (N·L, d) matrix in i-major order."""
+    return (x[:, None, :] + offsets[None, :, :]).reshape(-1, x.shape[1])
+
+
+@dataclass(frozen=True)
+class _ProbeSweep:
+    """A shifted density-and-gradient evaluation made of ``density_and_grad``
+    on the probe matrix."""
+
+    density_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    dim: int
+
+    def __call__(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
+        x, offsets = _check_shifts(x, offsets, self.dim)
+        n, d = x.shape
+        vals, grads = self.density_and_grad(_shifted_probes(x, offsets))
+        grad_sums = np.asarray(grads, dtype=float).reshape(n, offsets.shape[0], d).sum(axis=1)
+        return np.asarray(vals, dtype=float), grad_sums
 
 
 @dataclass(frozen=True)

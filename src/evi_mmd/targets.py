@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import DensityTarget, _frozen_array
+from .model import DensityTarget, _check_shifts, _frozen_array
 
 _WEIGHT_TOL = 1e-12
 # Probe rows per pass of the mixture sweep: the pass's (d, rows) scratch
@@ -37,6 +37,13 @@ class GaussianMixture:
     einsum("nd,de->ne", x - mean, inv)``, ``quad = einsum("nd,nd->n", x -
     mean, pulled)``; at d >= 3 einsum groups those sums differently, and the
     two agree to rtol 1e-13 (``tests/test_targets.py``).
+
+    :meth:`shifted_density_and_grad` is the density-branch cross term's
+    evaluation: it sweeps the probes x_i + o_l of whole particles per pass,
+    built coordinate by coordinate in one reused buffer, and sums each
+    particle's gradients over l inside the pass.  Its output bytes equal
+    :meth:`density_and_grad` on the probe matrix followed by
+    ``reshape(N, L, d).sum(axis=1)``.
     """
 
     weights: np.ndarray
@@ -142,6 +149,33 @@ class GaussianMixture:
     def density_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self._accumulate(x, with_grad=True)
 
+    def shifted_density_and_grad(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
+        """Density at the N·L probes x_i + o_l, i-major, and the (N, d) sums
+        over l of their gradients, without an (N·L, d) probe matrix."""
+        x, offsets = _check_shifts(x, offsets, self.dim)
+        (n, d), n_off = x.shape, offsets.shape[0]
+        per_pass = max(1, _SWEEP_ROWS // n_off)
+        vals = np.empty(n * n_off)
+        grad_sums = np.empty((n, d))
+        coords = np.empty((d, min(per_pass, n), n_off))
+        for start in range(0, n, per_pass):
+            stop = min(start + per_pass, n)
+            block = coords[:, : stop - start]
+            for j in range(d):
+                np.add.outer(x[start:stop, j], offsets[:, j], out=block[j])
+            dens, grad_t = self._sweep(block.reshape(d, -1), with_grad=True)
+            vals[start * n_off : stop * n_off] = dens
+            grad_t = grad_t.reshape(block.shape)
+            # The summation order of reshape(N, L, d).sum(axis=1): sequential
+            # over l for d >= 2; at d = 1 numpy drops the unit axis and sums
+            # each contiguous row pairwise.
+            if d == 1:
+                sums = grad_t.sum(axis=-1)
+            else:
+                sums = np.add.accumulate(grad_t, axis=-1)[..., -1]
+            grad_sums[start:stop] = sums.T
+        return vals, grad_sums
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mixture_sampler(self, n, rng)
 
@@ -165,6 +199,7 @@ def _target_from_mixture(mixture: GaussianMixture, box: Tuple[float, float]) -> 
         domain_box=(lower, upper),
         exact_sampler=mixture.sample,
         density_and_grad=mixture.density_and_grad,
+        shifted_density_and_grad=mixture.shifted_density_and_grad,
     )
 
 

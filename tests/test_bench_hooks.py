@@ -13,6 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")
 
 EVI_MMD = {"method": "evi_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 2}
+EVI_MMD_WAVE = dict(EVI_MMD, target="wave")
 SVGD = {"method": "svgd", "target": "eight", "N": 20, "maxIter": 30}
 EXPLICIT = {
     "method": "explicit_mmd", "target": "eight", "N": 20, "L": 20, "maxIter": 4,
@@ -26,8 +27,8 @@ ENERGY = {
 
 @pytest.mark.parametrize(
     "config",
-    [EVI_MMD, SVGD, EXPLICIT, ENERGY],
-    ids=["evi_mmd", "svgd", "explicit_mmd", "energy_distance"],
+    [EVI_MMD, EVI_MMD_WAVE, SVGD, EXPLICIT, ENERGY],
+    ids=["evi_mmd", "evi_mmd_wave", "svgd", "explicit_mmd", "energy_distance"],
 )
 def test_traced_child_run(tmp_path, config):
     raw = dict(config, n_reference=100, seed=3, out_dir=str(tmp_path / "run"))
@@ -57,3 +58,9 @@ def test_traced_child_run(tmp_path, config):
         assert counts["solver.evals"] == (
             counts["solver.trial_evals"] + counts["solver.lbfgs_minimize.calls"]
         )
+    if raw["target"] == "wave":
+        # the wave target's shifted evaluation falls back to the traced
+        # density_and_grad on all N·L = 400 probes
+        calls = counts["targets.density_and_grad.calls"]
+        assert calls > 0
+        assert counts["targets.density_and_grad.points"] == 400 * calls

@@ -1,10 +1,12 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial.hermite_e import hermegauss
 
 from evi_mmd import (
     DensityTarget,
@@ -15,11 +17,13 @@ from evi_mmd import (
     UnsupportedOperationError,
     cross_term_density,
     cross_term_empirical,
+    eight_mixture,
     free_energy,
     gauss_eval,
     grad_free_energy,
     isotropic_gaussian,
     square_term,
+    star_mixture,
 )
 from evi_mmd.free_energy import (
     _density_probes,
@@ -433,7 +437,7 @@ class TestOneGradientForm:
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)
 
-    @pytest.mark.parametrize("d,sigma", [(2, 1.0), (3, 0.5)])
+    @pytest.mark.parametrize("d,sigma", [(1, 0.8), (2, 1.0), (3, 0.5)])
     def test_gaussian_density_closure_bitwise(self, d, sigma):
         target = isotropic_gaussian(d, sigma)
         rng = np.random.default_rng(target.dim)
@@ -487,3 +491,125 @@ class TestOneGradientForm:
 def test_gaussian_normalizer_values():
     assert gaussian_normalizer(1, 1.0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-15)
     assert gaussian_normalizer(2, 0.5) == pytest.approx(2 * np.pi * 0.25, rel=1e-15)
+
+
+def mixture_of(target):
+    return target.density_and_grad.__self__
+
+
+def convolved_mixture(mixture, x, h):
+    """Closed form of the cross term's expectation per particle for a
+    Gaussian mixture rho: E_xi C_h rho(x + h xi) = E_{y~rho} exp(-|x-y|^2/2h^2)
+    = C_h sum_k w_k N(x; mu_k, Sigma_k + h^2 I), and its gradient in x,
+    -C_h sum_k w_k N(x; mu_k, S_k) S_k^-1 (x - mu_k) with S_k = Sigma_k + h^2 I."""
+    d = mixture.dim
+    vals, grads = np.zeros(len(x)), np.zeros_like(x)
+    for w, mu, cov in zip(mixture.weights, mixture.means, mixture.covariances):
+        s = cov + h * h * np.eye(d)
+        inv = np.linalg.inv(s)
+        diff = x - mu
+        dens = w * np.exp(-0.5 * np.einsum("nd,de,ne->n", diff, inv, diff))
+        dens /= np.sqrt(np.linalg.det(2.0 * np.pi * s))
+        vals += dens
+        grads -= dens[:, None] * (diff @ inv)
+    c_h = gaussian_normalizer(d, h)
+    return c_h * vals, c_h * grads
+
+
+def gauss_hermite_convolution(mixture, x, h, n_nodes=80):
+    """The same expectation by tensor Gauss-Hermite quadrature, component by
+    component, in the variable in which the integrand is smoother: over xi
+    in C_h E_xi N(x + h xi; mu, Sigma) when h^2 < sigma_min sigma_max, else
+    over z in E_z exp(-|x - mu - chol z|^2 / 2h^2), y = mu + chol z."""
+    d = mixture.dim
+    t, w = hermegauss(n_nodes)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([t] * d), indexing="ij")], axis=1)
+    weights = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0).ravel()
+    weights /= (2.0 * np.pi) ** (d / 2.0)
+    c_h = gaussian_normalizer(d, h)
+    vals, grads = np.zeros(len(x)), np.zeros_like(x)
+    for wk, mu, cov in zip(mixture.weights, mixture.means, mixture.covariances):
+        eig = np.linalg.eigvalsh(cov)
+        for i, xi in enumerate(x):
+            if h * h < np.sqrt(eig[0] * eig[-1]):
+                diff = xi + h * nodes - mu
+                inv = np.linalg.inv(cov)
+                dens = np.exp(-0.5 * np.einsum("nd,de,ne->n", diff, inv, diff))
+                dens *= c_h / np.sqrt(np.linalg.det(2.0 * np.pi * cov))
+                vals[i] += wk * (weights @ dens)
+                grads[i] -= wk * (weights @ (dens[:, None] * (diff @ inv)))
+            else:
+                diff = xi - (mu + nodes @ np.linalg.cholesky(cov).T)
+                k = np.exp(-0.5 * np.sum(diff * diff, axis=1) / (h * h))
+                vals[i] += wk * (weights @ k)
+                grads[i] -= wk * (weights @ (k[:, None] * diff)) / (h * h)
+    return vals, grads
+
+
+ORACLE_BANDWIDTHS = [2.0, 0.7, 0.15]
+
+
+class TestConvolutionOracle:
+    """The density-branch cross term of a mixture target against its exact
+    expectation: the closed form is checked by quadrature, then the
+    Monte-Carlo estimate and its gradient against the closed form."""
+
+    @pytest.mark.parametrize("h", ORACLE_BANDWIDTHS)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: isotropic_gaussian(1, 1.0), lambda: isotropic_gaussian(2, 0.6), star_mixture, eight_mixture],
+        ids=["gaussian1", "gaussian2", "star", "eight"],
+    )
+    def test_closed_form_matches_gauss_hermite(self, make, h):
+        target = make()
+        mixture = mixture_of(target)
+        rng = np.random.default_rng(0)
+        lower, upper = target.domain_box
+        x = np.vstack([target.exact_sampler(rng, 4), rng.uniform(lower, upper, size=(4, target.dim))])
+        vals, grads = convolved_mixture(mixture, x, h)
+        q_vals, q_grads = gauss_hermite_convolution(mixture, x, h)
+        np.testing.assert_allclose(q_vals, vals, rtol=1e-12, atol=0)
+        assert np.all(np.abs(q_grads - grads) <= 1e-12 * np.abs(grads).max())
+
+    @pytest.mark.parametrize("h", ORACLE_BANDWIDTHS)
+    @pytest.mark.parametrize(
+        "make", [star_mixture, eight_mixture, lambda: isotropic_gaussian(3, 1.0)],
+        ids=["star", "eight", "gaussian3"],
+    )
+    def test_monte_carlo_within_clt_bound(self, make, h):
+        target = make()
+        rng = np.random.default_rng(0)
+        x = target.exact_sampler(rng, 12)
+        noise = McNoise.draw(rng, 2000, target.dim)
+        (n, d), n_mc = x.shape, noise.n_samples
+        c_h = gaussian_normalizer(d, h)
+        vals, grad_sums = target.shifted_density_and_grad(x, h * noise.xi)
+        est_vals = c_h / n_mc * vals.reshape(n, n_mc).sum(axis=1)
+        est_grads = c_h / n_mc * grad_sums
+        # per-probe sample standard deviations give the CLT standard errors
+        probe_vals, probe_grads = target.density_and_grad(_density_probes(x, h, noise))
+        se_vals = c_h * probe_vals.reshape(n, n_mc).std(axis=1, ddof=1) / np.sqrt(n_mc)
+        se_grads = c_h * probe_grads.reshape(n, n_mc, d).std(axis=1, ddof=1) / np.sqrt(n_mc)
+        exact_vals, exact_grads = convolved_mixture(mixture_of(target), x, h)
+        assert np.all(np.abs(est_vals - exact_vals) <= 5.0 * se_vals)
+        assert np.all(np.abs(est_grads - exact_grads) <= 5.0 * se_grads)
+        # the public cross term is the particles' sum of the same estimate
+        cross = cross_term_density(x, target, h, noise)
+        assert cross == pytest.approx(est_vals.sum(), rel=1e-12)
+
+
+def test_density_value_and_grad_builds_no_probe_matrix():
+    # At N = 200, L = 500, d = 2 an (N·L, d) float array alone is 1.5 MiB.
+    target = eight_mixture()
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-4.0, 4.0, size=(200, 2))
+    noise = McNoise.draw(rng, 500, 2)
+    _, vg_fn = density_closures(target, KernelConfig.gaussian(0.7), noise)
+    vg_fn(x)
+    tracemalloc.start()
+    try:
+        vg_fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

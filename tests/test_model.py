@@ -88,6 +88,41 @@ class TestDensityTarget:
         )
         assert t.density_and_grad is fused
 
+    def test_shifted_evaluation_defaults_to_the_probe_matrix(self):
+        def fused(x):
+            return x[:, 0] + 10.0 * x[:, 1], np.stack([x[:, 0], -x[:, 1]], axis=1)
+
+        t = DensityTarget(
+            density=lambda x: fused(x)[0],
+            grad_density=lambda x: fused(x)[1],
+            domain_box=(np.zeros(2), np.ones(2)),
+            density_and_grad=fused,
+        )
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        offsets = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 1.0]])
+        vals, grad_sums = t.shifted_density_and_grad(x, offsets)
+        # probes in i-major order: x_0 + o_0, x_0 + o_1, x_0 + o_2, x_1 + o_0, ...
+        np.testing.assert_array_equal(vals, [21.0, 1.5 + 10.0, 3.0 + 30.0, 43.0, 33.5, 55.0])
+        np.testing.assert_array_equal(grad_sums, [[5.5, -6.0], [11.5, -12.0]])
+        # a copy with a new fused evaluation sweeps the new one
+        copy = dataclasses.replace(t, density_and_grad=lambda x: (np.ones(len(x)), 2.0 * x))
+        vals, grad_sums = copy.shifted_density_and_grad(x, offsets)
+        np.testing.assert_array_equal(vals, np.ones(6))
+        np.testing.assert_array_equal(grad_sums, [[11.0, 12.0], [23.0, 24.0]])
+
+    def test_given_shifted_evaluation_is_kept(self):
+        def shifted(x, offsets):
+            return np.zeros(len(x) * len(offsets)), np.zeros_like(x)
+
+        t = DensityTarget(
+            density=lambda x: np.ones(len(x)),
+            grad_density=lambda x: np.zeros_like(x),
+            domain_box=(np.zeros(2), np.ones(2)),
+            shifted_density_and_grad=shifted,
+        )
+        assert t.shifted_density_and_grad is shifted
+        assert dataclasses.replace(t, density=lambda x: x[:, 0]).shifted_density_and_grad is shifted
+
     def test_rejects_inverted_box(self):
         with pytest.raises(InvalidArgumentError):
             DensityTarget(

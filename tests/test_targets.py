@@ -354,3 +354,109 @@ class TestMixtureSweep:
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(grads, ref_grads)
         assert grads.flags.c_contiguous == ref_grads.flags.c_contiguous
+
+
+def probe_path(target, x, offsets):
+    """Density and L-summed gradient through ``density_and_grad`` on the
+    (N·L, d) probe matrix: the reference of ``shifted_density_and_grad``."""
+    n, d = x.shape
+    probes = (x[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+    vals, grads = target.density_and_grad(probes)
+    return vals, grads.reshape(n, -1, d).sum(axis=1)
+
+
+SHIFTED_TARGETS = {
+    "star": star_mixture,
+    "eight": eight_mixture,
+    "wave": wave_density,
+    "gaussian1": lambda: isotropic_gaussian(1, 1.0),
+    "gaussian2": lambda: isotropic_gaussian(2, 1.0),
+    "gaussian3": lambda: isotropic_gaussian(3, 1.0),
+    "random3": lambda: random_mixture(3, seed=3),
+    "random5": lambda: random_mixture(5, seed=5),
+    "random10": lambda: random_mixture(10, seed=10),
+}
+
+
+class TestShiftedSweep:
+    """``shifted_density_and_grad`` returns the bytes of the probe path:
+    the mixtures' probe-free sweep and the fallback of other targets."""
+
+    # N = 200 with L = 20000 is left out: its reference probe matrix alone
+    # takes 32-320 MB.  L = 20000 > _SWEEP_ROWS still runs at N = 1 and 17.
+    @pytest.mark.parametrize(
+        "n,n_off",
+        [(1, 1), (1, 500), (1, 20000), (17, 1), (17, 500), (17, 20000), (200, 1), (200, 500)],
+    )
+    @pytest.mark.parametrize("name", sorted(SHIFTED_TARGETS))
+    def test_bitwise_equal_to_probe_path(self, name, n, n_off):
+        target = SHIFTED_TARGETS[name]()
+        d = target.dim
+        rng = np.random.default_rng(n + n_off + d)
+        x = rng.normal(scale=2.0, size=(n, d))
+        offsets = 0.7 * rng.normal(size=(n_off, d))
+        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+        ref_vals, ref_sums = probe_path(target, x, offsets)
+        assert vals.shape == (n * n_off,) and grad_sums.shape == (n, d)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+
+    def test_particles_per_pass_boundary(self):
+        # _SWEEP_ROWS // L particles per pass, with a short last pass.
+        mixture = mixture_of(eight_mixture())
+        n_off = 1000
+        per_pass = _SWEEP_ROWS // n_off
+        rng = np.random.default_rng(9)
+        x = rng.normal(scale=3.0, size=(2 * per_pass + 3, 2))
+        offsets = rng.normal(size=(n_off, 2))
+        vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)
+        ref_vals, ref_sums = probe_path(mixture, x, offsets)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+
+    def test_non_contiguous_inputs(self):
+        # The reference's own sum order follows its input layout, so it runs
+        # on C-ordered copies: the layout the density closure passes.
+        target = star_mixture()
+        rng = np.random.default_rng(4)
+        x = np.asfortranarray(rng.normal(size=(41, 2)))[::2]
+        offsets = np.asfortranarray(rng.normal(size=(300, 2)))[::3]
+        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+        ref_vals, ref_sums = probe_path(
+            target, np.ascontiguousarray(x), np.ascontiguousarray(offsets)
+        )
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+
+    def test_zero_particles(self):
+        for target in (eight_mixture(), wave_density()):
+            vals, grad_sums = target.shifted_density_and_grad(np.empty((0, 2)), np.ones((5, 2)))
+            assert vals.shape == (0,) and grad_sums.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "x_shape,offsets_shape,match",
+        [
+            ((4, 2), (5,), "offsets"),
+            ((4, 2), (1, 5, 2), "offsets"),
+            ((4, 2), (0, 2), "offsets"),
+            ((4, 2), (5, 1), "offsets"),
+            ((4, 2), (5, 3), "offsets"),
+            ((4, 1), (5, 2), "particles"),
+            ((4, 3), (5, 2), "particles"),
+            ((8,), (5, 2), "particles"),
+        ],
+        ids=[
+            "offsets-vector", "offsets-rank-3", "no-offsets", "offsets-d1", "offsets-d3",
+            "particles-d1", "particles-d3", "particles-vector",
+        ],
+    )
+    @pytest.mark.parametrize("name", ["eight", "wave"], ids=["mixture", "fallback"])
+    def test_rejects_bad_shapes(self, name, x_shape, offsets_shape, match):
+        target = SHIFTED_TARGETS[name]()
+        with pytest.raises(InvalidArgumentError, match=match):
+            target.shifted_density_and_grad(np.zeros(x_shape), np.zeros(offsets_shape))
+
+    def test_mixture_targets_bind_the_probe_free_sweep(self):
+        target = eight_mixture()
+        assert target.shifted_density_and_grad.__self__ is mixture_of(target)
+        assert target.shifted_density_and_grad.__func__ is GaussianMixture.shifted_density_and_grad
