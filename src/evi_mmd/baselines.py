@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 # density_closures is unused here; bench/tracing.py looks it up in this module.
 from .free_energy import density_closures, empirical_closures  # noqa: F401
-from .kernels import gram, pairwise_distances, weighted_differences
+from .kernels import gram, pairwise_distances
 from .model import (
     BandwidthSchedule,
     DensityTarget,
@@ -176,11 +176,22 @@ def svgd_step(
     h2 = bandwidth * bandwidth
     w = gram(particles, KernelConfig.gaussian(bandwidth))
     score = _grad_log_density(target, particles)
-    drift = np.einsum("ji,jd->id", w, score)
-    # w.T, not w: w is symmetric, but the transposed view keeps the column
-    # sums' order, so the bytes match the sum over j of grad_{x_j} K(x_j, x_i)
-    repulsion = weighted_differences(particles, particles, w.T) / h2
+    drift = _column_products(w, score)
+    # sum_j grad_{x_j} K(x_j, x_i) = (x_i sum_j w_ji - sum_j w_ji x_j) / h^2
+    repulsion = (particles * w.sum(axis=0)[:, None] - _column_products(w, particles)) / h2
     return particles + eta0 / n * (drift + repulsion)
+
+
+def _column_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i is sum_j w_ji v_j: per column of ``v``, the rows of ``w`` scaled
+    and added in row order, the order (and bytes) of
+    ``np.einsum("ji,jd->id", w, v)`` at about half its time."""
+    scaled = np.empty_like(w)
+    sums = np.empty((v.shape[1], w.shape[1]))
+    for v_e, sums_e in zip(v.T, sums):
+        np.multiply(w, v_e[:, None], out=scaled)
+        np.add.reduce(scaled, axis=0, out=sums_e)
+    return np.ascontiguousarray(sums.T)
 
 
 def svgd_run(

@@ -9,8 +9,16 @@ differently, and the two agree to rtol 1e-13 (``tests/test_kernels.py``).
 Gram matrices are materialized in full; particle counts in this package stay
 in the hundreds, so O(N^2 d) is fine.
 
-Every kernel-sum gradient (free-energy terms, SVGD repulsion) has the one
-form sum_j w_ij (x_i - y_j), computed by :func:`weighted_differences`.
+The Gaussian kernel's exponentials go through :func:`_exp_inplace`, which
+returns the bytes of ``np.exp`` but keeps arguments below -708 out of its
+vector loop: there ``np.exp`` takes a scalar path 20-150x slower per entry,
+and at small bandwidths most Gram entries land there.  Arguments below -750,
+where ``np.exp`` is exactly +0.0, become 0.0; the thin shell in between is
+exponentiated on its own (``tests/test_kernels.py`` checks the bytes and the
++0.0 threshold of the installed numpy).
+
+Every free-energy kernel-sum gradient has the one form
+sum_j w_ij (x_i - y_j), computed by :func:`weighted_differences`.
 """
 
 from __future__ import annotations
@@ -22,6 +30,12 @@ from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig
 
 # Rows of ``a`` per chunk; bounds the scratch buffer at chunk * M floats.
 _CHUNK = 256
+
+# Below about _EXP_FAST_MIN, where its results near the subnormal range,
+# np.exp leaves its vector loop; below _EXP_ZERO_BELOW it returns exactly
+# +0.0 (numpy's own zero threshold is -745.13).
+_EXP_FAST_MIN = -708.0
+_EXP_ZERO_BELOW = -750.0
 
 
 def _check_vector(x, name: str) -> np.ndarray:
@@ -93,17 +107,27 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"dimension mismatch: a has d={a.shape[1]}, b has d={b.shape[1]}"
         )
     n, m = a.shape[0], b.shape[0]
+    if a.shape[1] == 0:
+        return np.zeros((n, m))
     b_coords = np.ascontiguousarray(b.T)
-    out = np.zeros((n, m))
+    # The first coordinate's square goes straight into ``out``: it is what
+    # 0.0 + square gives, since a square is never -0.0.
+    out = np.empty((n, m))
     term = np.empty((min(n, _CHUNK), m))
     for start in range(0, n, _CHUNK):
+        a_coords = a[start : start + _CHUNK].T
         rows = out[start : start + _CHUNK]
         buf = term[: rows.shape[0]]
-        for j, b_j in enumerate(b_coords):
-            np.subtract.outer(a[start : start + _CHUNK, j], b_j, out=buf)
-            np.multiply(buf, buf, out=buf)
-            rows += buf
+        _squared_difference(a_coords[0], b_coords[0], rows)
+        for a_j, b_j in zip(a_coords[1:], b_coords[1:]):
+            rows += _squared_difference(a_j, b_j, buf)
     return out
+
+
+def _squared_difference(a_j: np.ndarray, b_j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, k] = (a_j[i] - b_j[k])**2, in place."""
+    np.subtract.outer(a_j, b_j, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,12 +138,31 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _exp_inplace(out: np.ndarray) -> np.ndarray:
+    """``np.exp(out, out=out)`` for a C-contiguous ``out``, with the same
+    bytes, computing only the subnormal shell off numpy's vector loop."""
+    if out.size == 0 or out.min() >= _EXP_FAST_MIN:
+        return np.exp(out, out=out)
+    flat = out.reshape(-1)
+    fast = flat >= _EXP_FAST_MIN
+    shell = flat >= _EXP_ZERO_BELOW
+    shell ^= fast
+    shell_at = np.flatnonzero(shell)
+    shell_values = np.exp(flat[shell_at])
+    # Slow arguments become +-0.0 for the vector call and their results 0.0.
+    flat *= fast
+    np.exp(flat, out=flat)
+    flat *= fast
+    flat[shell_at] = shell_values
+    return out
+
+
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> np.ndarray:
     if kernel.kind == GAUSSIAN:
         out = squared_distances(a, b)
-        np.negative(out, out=out)
-        out /= 2.0 * kernel.bandwidth**2
-        return np.exp(out, out=out)
+        # Same bytes as negating first: IEEE division is sign-symmetric.
+        out /= -2.0 * kernel.bandwidth**2
+        return _exp_inplace(out)
     if kernel.kind == NEGATIVE_EUCLIDEAN:
         out = pairwise_distances(a, b)
         return np.negative(out, out=out)
@@ -151,5 +194,7 @@ def cross_gram(a, b, kernel: KernelConfig) -> np.ndarray:
 
 def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row i is sum_j w_ij (x_i - y_j), computed as
-    x_i * sum_j w_ij - sum_j w_ij y_j (einsum without BLAS, so deterministic)."""
+    x_i * sum_j w_ij - sum_j w_ij y_j (einsum without BLAS, so deterministic).
+
+    The free-energy gradients' bytes depend on this summation order."""
     return x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, y)

@@ -167,7 +167,10 @@ class _ProbeSweep:
         x, offsets = _check_shifts(x, offsets, self.dim)
         n, d = x.shape
         vals, grads = self.density_and_grad(_shifted_probes(x, offsets))
-        grad_sums = np.asarray(grads, dtype=float).reshape(n, offsets.shape[0], d).sum(axis=1)
+        # C order first: a strided reshape of a Fortran-ordered gradient would
+        # sum over l in another order.
+        grads = np.ascontiguousarray(grads, dtype=float)
+        grad_sums = grads.reshape(n, offsets.shape[0], d).sum(axis=1)
         return np.asarray(vals, dtype=float), grad_sums
 
 

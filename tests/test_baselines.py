@@ -10,6 +10,7 @@ from evi_mmd import (
     McNoise,
     NumericalFailureError,
     SolverConfig,
+    eight_mixture,
     energy_distance,
     energy_distance_run,
     evi_mmd_run,
@@ -24,7 +25,7 @@ from evi_mmd import (
 from evi_mmd import baselines
 from evi_mmd.baselines import svgd_step
 from evi_mmd.free_energy import density_closures
-from evi_mmd.kernels import gram
+from evi_mmd.kernels import gram, squared_distances
 
 
 class TestLmcSchedule:
@@ -167,6 +168,33 @@ class TestEnergyDistanceRun:
         assert record.rows[0].free_energy == pytest.approx(expect, rel=1e-10)
 
 
+def einsum_svgd_step(pts, target, h, eta0):
+    """One SVGD step by the einsum formulas of its drift and repulsion, kept
+    as the reference of their bytes."""
+    n = pts.shape[0]
+    w = gram(pts, KernelConfig.gaussian(h))
+    score = baselines._grad_log_density(target, pts)
+    drift = np.einsum("ji,jd->id", w, score)
+    repulsion = (pts * w.sum(axis=0)[:, None] - np.einsum("ji,jd->id", w, pts)) / (h * h)
+    return pts + eta0 / n * (drift + repulsion)
+
+
+def slow_range_case(source, n, d):
+    """A target and n particles in d dimensions built from eight-ring draws
+    or from the eight mixture's [-4, 4] initialization box: 2-d blocks of
+    such points, cut to d columns.  The target is the eight mixture at
+    d = 2 and a broad Gaussian otherwise."""
+    eight = eight_mixture()
+    rng = np.random.default_rng(100 * n + d)
+    blocks = -(-d // 2)
+    if source == "eight":
+        pts = np.concatenate([eight.exact_sampler(rng, n) for _ in range(blocks)], axis=1)
+    else:
+        pts = rng.uniform(-4.0, 4.0, size=(n, 2 * blocks))
+    target = eight if d == 2 else isotropic_gaussian(d, 2.0)
+    return target, np.ascontiguousarray(pts[:, :d])
+
+
 class TestSvgd:
     def test_single_particle_at_mode_is_stationary(self):
         target = isotropic_gaussian(2, 1.0)
@@ -232,20 +260,27 @@ class TestSvgd:
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     @pytest.mark.parametrize("n", [5, 200, 257])
     def test_step_bitwise_equal_to_einsum_repulsion(self, n, d):
-        # The repulsion once read
-        #   (x * w.sum(axis=0)[:, None] - einsum("ji,jd->id", w, x)) / h^2;
-        # weighted_differences must see w.T to sum in that order.
         target = isotropic_gaussian(d, 1.0)
         pts = np.random.default_rng(n + d).normal(size=(n, d))
         h, eta0 = 0.8, 0.3
-        w = gram(pts, KernelConfig.gaussian(h))
-        score = baselines._grad_log_density(target, pts)
-        drift = np.einsum("ji,jd->id", w, score)
-        repulsion = (
-            pts * w.sum(axis=0)[:, None] - np.einsum("ji,jd->id", w, pts)
-        ) / (h * h)
-        expect = pts + eta0 / n * (drift + repulsion)
+        expect = einsum_svgd_step(pts, target, h, eta0)
         np.testing.assert_array_equal(svgd_step(pts, target, h, eta0), expect)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 5, 200, 257])
+    @pytest.mark.parametrize("source", ["eight", "box"])
+    def test_step_bitwise_in_slow_exp_range(self, source, n, d):
+        # h = 0.1, the svgd-eight bandwidth: most Gram exponents fall below
+        # -708, where the kernel computes exp off numpy's vector loop.
+        target, pts = slow_range_case(source, n, d)
+        h, eta0 = 0.1, 0.3
+        expect = einsum_svgd_step(pts, target, h, eta0)
+        got = svgd_step(pts, target, h, eta0)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expect.tobytes()
+        if n >= 200:
+            exponents = -squared_distances(pts, pts) / (2 * h * h)
+            assert np.any(exponents < -708.0)
 
 
 class TestLmc:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evi_mmd import InvalidArgumentError, KernelConfig
+from evi_mmd import InvalidArgumentError, KernelConfig, eight_mixture
 from evi_mmd import kernels
 from evi_mmd.kernels import (
     cross_gram,
@@ -327,3 +327,127 @@ class TestWeightedDifferences:
         np.testing.assert_array_equal(
             weighted_differences(x, y, np.array([[2.0]])), [[2.0, -6.0, 0.0]]
         )
+
+
+FAST_MIN = -708.0
+CUTOFF = kernels._EXP_ZERO_BELOW
+
+
+def split_exp(args):
+    return kernels._exp_inplace(np.array(args, dtype=float))
+
+
+def gaussian_exponents(a, b, h):
+    """The arguments the Gaussian kernel exponentiates, -d^2 / (2 h^2), by
+    negating first (the kernel divides by -2 h^2, which gives the same bytes)."""
+    out = squared_distances(a, b)
+    np.negative(out, out=out)
+    out /= 2.0 * h**2
+    return out
+
+
+def slow_range_points(source, n=200):
+    """Eight-ring draws or uniform draws from the [-4, 4]^2 initialization
+    box: at h = 0.1 most of their Gram exponents fall below -708."""
+    rng = np.random.default_rng(n)
+    if source == "eight":
+        return eight_mixture().exact_sampler(rng, n)
+    return rng.uniform(-4.0, 4.0, size=(n, 2))
+
+
+class TestExpSplit:
+    """The Gaussian kernel's exp split returns the bytes of ``np.exp``."""
+
+    LISTED = [
+        -707.9, FAST_MIN, -708.1, -745.13, CUTOFF,
+        np.nextafter(CUTOFF, -np.inf), -1e4, 0.0,
+    ]
+
+    def test_listed_arguments(self):
+        args = np.array(self.LISTED)
+        assert split_exp(args).tobytes() == np.exp(args).tobytes()
+        for a in self.LISTED:
+            one = np.array([[a]])
+            assert split_exp(one).tobytes() == np.exp(one).tobytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            np.linspace(-707.9, 0.0, 3000).reshape(3, -1),
+            np.linspace(CUTOFF - 1e4, np.nextafter(CUTOFF, -np.inf), 3000).reshape(-1, 3),
+            np.linspace(-708.1, CUTOFF, 3000).reshape(3, -1),
+            np.empty((0, 5)),
+            np.empty((4, 0)),
+            np.array([[-3.0]]),
+            np.array([[-720.0]]),
+            np.array([[-800.0]]),
+        ],
+        ids=["all-fast", "all-zero", "all-shell", "empty-rows", "empty-cols",
+             "1x1-fast", "1x1-shell", "1x1-zero"],
+    )
+    def test_uniform_arrays(self, args):
+        got = split_exp(args)
+        assert got.shape == args.shape
+        assert got.tobytes() == np.exp(args).tobytes()
+
+    def test_mixed_ranges_shuffled(self):
+        rng = np.random.default_rng(3)
+        args = -rng.uniform(0.0, 900.0, size=(300, 170))
+        assert split_exp(args).tobytes() == np.exp(args).tobytes()
+
+    @pytest.mark.parametrize("square", [False, True], ids=["cross_gram", "gram"])
+    @pytest.mark.parametrize("source", ["eight", "box"])
+    def test_kernel_matrices_at_small_bandwidth(self, source, square):
+        h = 0.1
+        a = slow_range_points(source)
+        b = a if square else slow_range_points(source, n=137)
+        expect = np.exp(gaussian_exponents(a, b, h))
+        if square:
+            np.fill_diagonal(expect, 1.0)
+            got = gram(a, KernelConfig.gaussian(h))
+        else:
+            got = cross_gram(a, b, KernelConfig.gaussian(h))
+        assert got.tobytes() == expect.tobytes()
+
+    def test_numpy_exp_is_exactly_zero_below_the_cutoff(self):
+        # The split writes 0.0 below the cutoff without calling exp.  A numpy
+        # whose exp rounds differently there must fail here, not change
+        # output bytes silently.
+        grid = np.concatenate([
+            np.linspace(CUTOFF, CUTOFF - 50.0, 200001),
+            np.nextafter(CUTOFF, -np.inf) - np.arange(1000) * 1e-12,
+            [-1e4, -1e300, -np.finfo(float).max],
+        ])
+        got = np.exp(grid)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+        assert np.exp(-745.13) > 0.0  # numpy's own zero threshold is above CUTOFF
+
+
+class _RecordingNumpy:
+    """numpy, except that every ``exp`` call's argument is copied first."""
+
+    def __init__(self):
+        self.exp_args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exp_args.append(np.array(x, dtype=float))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_only_the_shell_leaves_the_vector_loop(monkeypatch):
+    # The mechanism: on an h = 0.1 eight-ring Gram, the exponents below -708
+    # reach np.exp only through one compacted call on the subnormal shell.
+    pts = slow_range_points("eight")
+    exponents = gaussian_exponents(pts, pts, 0.1)
+    shell = (exponents < FAST_MIN) & (exponents >= CUTOFF)
+    assert np.any(exponents < CUTOFF) and np.any(shell)
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(kernels, "np", recorder)
+    gram(pts, KernelConfig.gaussian(0.1))
+    slow_calls = [a for a in recorder.exp_args if np.any(a < FAST_MIN)]
+    assert len(slow_calls) == 1
+    assert slow_calls[0].size == np.count_nonzero(shell)
+    assert np.all(slow_calls[0] >= CUTOFF)

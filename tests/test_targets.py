@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 from evi_mmd import (
+    DensityTarget,
     GaussianMixture,
     InvalidArgumentError,
     eight_mixture,
@@ -11,6 +12,7 @@ from evi_mmd import (
     star_mixture,
     wave_density,
 )
+from evi_mmd.model import _ProbeSweep
 from evi_mmd.targets import _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
 
 
@@ -425,6 +427,41 @@ class TestShiftedSweep:
         ref_vals, ref_sums = probe_path(
             target, np.ascontiguousarray(x), np.ascontiguousarray(offsets)
         )
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+
+    def test_probe_path_is_layout_independent(self):
+        # Fortran-ordered particles and offsets keep their layout through the
+        # probe matrix into the mixture's gradient; the sum over l must not
+        # follow it.
+        target = star_mixture()
+        sweep = _ProbeSweep(target.density_and_grad, target.dim)
+        rng = np.random.default_rng(21)
+        x = rng.normal(scale=2.0, size=(21, 2))
+        offsets = 0.7 * rng.normal(size=(100, 2))
+        vals, grad_sums = sweep(np.asfortranarray(x), np.asfortranarray(offsets))
+        ref_vals, ref_sums = sweep(x, offsets)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+
+    def test_fortran_ordered_user_gradient(self):
+        star = star_mixture()
+
+        def fortran_density_and_grad(probes):
+            vals, grads = star.density_and_grad(probes)
+            return vals, np.asfortranarray(grads)
+
+        user = DensityTarget(
+            density=star.density,
+            grad_density=star.grad_density,
+            domain_box=star.domain_box,
+            density_and_grad=fortran_density_and_grad,
+        )
+        rng = np.random.default_rng(22)
+        x = rng.normal(scale=2.0, size=(21, 2))
+        offsets = 0.7 * rng.normal(size=(100, 2))
+        vals, grad_sums = user.shifted_density_and_grad(x, offsets)
+        ref_vals, ref_sums = probe_path(star, x, offsets)
         assert vals.tobytes() == ref_vals.tobytes()
         assert grad_sums.tobytes() == ref_sums.tobytes()
 
