@@ -22,10 +22,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import NumericalFailureError
 # density_closures is unused here; bench/tracing.py looks it up in this module.
-from .free_energy import density_closures, empirical_closures  # noqa: F401
-from .kernels import gram, pairwise_distances
+from .free_energy import density_closures, empirical_closures, square_term  # noqa: F401
+from .kernels import gram
 from .model import (
     BandwidthSchedule,
     DensityTarget,
@@ -34,6 +34,7 @@ from .model import (
     ParticleSet,
     RunRecord,
     SolverConfig,
+    _check_positive,
 )
 from .solver import (
     IterationInfo,
@@ -58,23 +59,20 @@ class LmcSchedule:
 
     def __post_init__(self):
         for name in ("a_lmc", "b_lmc", "c_lmc"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidArgumentError(f"{name} must be > 0, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
 
     def step_size(self, n: int) -> float:
         return self.a_lmc * (self.b_lmc + n) ** (-self.c_lmc)
 
 
 def _grad_log_density(target: DensityTarget, particles: np.ndarray) -> np.ndarray:
-    """grad log rho = grad rho / rho with an underflow guard."""
+    """grad log rho = grad rho / rho; raises where rho < 1e-300 or is NaN."""
     vals, grads = target.density_and_grad(particles)
     vals = np.asarray(vals, dtype=float)
-    if np.any(vals < _DENSITY_FLOOR):
+    if not np.all(vals >= _DENSITY_FLOOR):
         raise NumericalFailureError(
-            "target density underflowed below 1e-300; particles left the "
-            "support of the floating-point density",
+            "target density underflowed below 1e-300 or is NaN; particles left "
+            "the support of the floating-point density",
             last_iterate=particles,
         )
     return np.asarray(grads, dtype=float) / vals[:, None]
@@ -96,8 +94,7 @@ def explicit_euler_mmd_run(
     """Plain gradient descent on the adaptive-bandwidth free energy:
     x <- x - eta0 * N * grad F_h(x), the explicit counterpart of the
     proximal update (the dissipation scaling is absorbed into eta0)."""
-    if eta0 <= 0:
-        raise InvalidArgumentError(f"eta0 must be > 0, got {eta0!r}")
+    eta0 = _check_positive(eta0, "eta0")
     init = check_run_inputs(init_particles, target, (DensityTarget, EmpiricalTarget))
     n_particles = init.shape[0]
     objective = objective_source(target, rng, mc_samples)
@@ -148,11 +145,8 @@ def energy_distance_run(
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         batch = draw_minibatch(target, batch_rng)
         _, vg_fn = empirical_closures(batch, kernel)
-        m = batch.shape[0]
         # The batch constant costs an m x m sweep; only a recorded row reads it.
-        batch_const = (
-            -float(pairwise_distances(batch, batch).sum()) / (m * m) if record else 0.0
-        )
+        batch_const = square_term(batch, kernel) if record else 0.0
         return implicit_step(n, particles, vg_fn, config, report_offset=batch_const)
 
     return run_loop(
@@ -211,8 +205,8 @@ def svgd_run(
     column is NaN (the method does not track a kernel-discrepancy objective).
     """
     init = check_run_inputs(init_particles, target, (DensityTarget,))
-    if bandwidth <= 0:
-        raise InvalidArgumentError(f"bandwidth must be > 0, got {bandwidth!r}")
+    bandwidth = _check_positive(bandwidth, "bandwidth")
+    eta0 = _check_positive(eta0, "eta0", allow_zero=True)
 
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         return IterationInfo(n, svgd_step(particles, target, bandwidth, eta0), h_n=bandwidth)
@@ -247,6 +241,7 @@ def lmc_run(
     steps with a NaN bandwidth column.
     """
     init = check_run_inputs(init_particles, target, (DensityTarget,))
+    noise_scale = _check_positive(noise_scale, "noise_scale", allow_zero=True)
 
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:
         eta = schedule.step_size(n)

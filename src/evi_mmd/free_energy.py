@@ -43,12 +43,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _check_bandwidth, _check_matrix, cross_gram, gram, weighted_differences
+from .kernels import _check_matrix, _check_sample, cross_gram, gram, weighted_differences
 from .model import (
     GAUSSIAN,
     DensityTarget,
     EmpiricalTarget,
     KernelConfig,
+    _check_positive,
     _frozen_array,
     _shifted_probes,
 )
@@ -107,24 +108,17 @@ def cross_term_density(
 ) -> float:
     """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l)."""
     particles = _check_matrix(particles, "particles")
-    h = _check_bandwidth(h)
+    h = _check_positive(h, "bandwidth")
     probes = _density_probes(particles, h, noise)
     vals = np.asarray(target.density(probes), dtype=float)
     c_h = gaussian_normalizer(particles.shape[1], h)
     return c_h / noise.n_samples * float(vals.sum())
 
 
-def _check_batch(batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=float)
-    if batch.size == 0:
-        raise InvalidArgumentError("mini-batch must be nonempty")
-    return _check_matrix(batch, "batch")
-
-
 def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
     """Data cross term (1/L) sum_i sum_j K(x_i, y_j) over the mini-batch."""
     particles = _check_matrix(particles, "particles")
-    batch = _check_batch(batch)
+    batch = _check_sample(batch, "mini-batch")
     return float(cross_gram(particles, batch, kernel).sum()) / batch.shape[0]
 
 
@@ -202,7 +196,7 @@ def empirical_closures(
     """Value and value+gradient closures for the empirical branch with one
     fixed mini-batch.  The value+gradient closure builds the Gram and the
     particle-batch matrix once each."""
-    batch = _check_batch(batch)
+    batch = _check_sample(batch, "mini-batch")
     m = batch.shape[0]
 
     def value(x: np.ndarray) -> float:

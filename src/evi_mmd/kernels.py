@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig
+from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_positive
 
 # Rows of ``a`` per chunk; bounds the scratch buffer at chunk * M floats.
 _CHUNK = 256
@@ -56,18 +56,19 @@ def _check_matrix(x, name: str) -> np.ndarray:
     return x
 
 
-def _check_bandwidth(h) -> float:
-    h = float(h)
-    if not np.isfinite(h) or h <= 0:
-        raise InvalidArgumentError(f"bandwidth must be > 0, got {h!r}")
-    return h
+def _check_sample(x, name: str) -> np.ndarray:
+    """:func:`_check_matrix` for a sample, which must also be nonempty."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise InvalidArgumentError(f"{name} must be nonempty")
+    return _check_matrix(x, name)
 
 
 def gauss_eval(x, y, h) -> float:
     """Gaussian kernel exp(-|x - y|^2 / (2 h^2)); value in (0, 1]."""
     x = _check_vector(x, "x")
     y = _check_vector(y, "y")
-    h = _check_bandwidth(h)
+    h = _check_positive(h, "bandwidth")
     sq = float(np.sum((x - y) ** 2))
     return float(np.exp(-sq / (2.0 * h * h)))
 
@@ -77,7 +78,7 @@ def gauss_grad_x(x, y, h) -> np.ndarray:
     -(x - y) / h^2 * exp(-|x - y|^2 / (2 h^2))."""
     x = _check_vector(x, "x")
     y = _check_vector(y, "y")
-    h = _check_bandwidth(h)
+    h = _check_positive(h, "bandwidth")
     diff = x - y
     val = np.exp(-float(np.sum(diff**2)) / (2.0 * h * h))
     return -diff / (h * h) * val
@@ -141,15 +142,20 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _exp_inplace(out: np.ndarray) -> np.ndarray:
     """``np.exp(out, out=out)`` for a C-contiguous ``out``, with the same
     bytes, computing only the subnormal shell off numpy's vector loop."""
-    if out.size == 0 or out.min() >= _EXP_FAST_MIN:
+    lowest = out.min() if out.size else 0.0
+    if lowest >= _EXP_FAST_MIN:
         return np.exp(out, out=out)
     flat = out.reshape(-1)
+    if lowest == -np.inf:
+        # Overflowed squared distances; -inf times the mask below is NaN.
+        np.maximum(flat, 2.0 * _EXP_ZERO_BELOW, out=flat)
     fast = flat >= _EXP_FAST_MIN
     shell = flat >= _EXP_ZERO_BELOW
     shell ^= fast
     shell_at = np.flatnonzero(shell)
     shell_values = np.exp(flat[shell_at])
     # Slow arguments become +-0.0 for the vector call and their results 0.0.
+    # (A masked assignment in place of these products doubles the run time.)
     flat *= fast
     np.exp(flat, out=flat)
     flat *= fast
@@ -183,13 +189,8 @@ def gram(points, kernel: KernelConfig) -> np.ndarray:
 
 def cross_gram(a, b, kernel: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix C[i, j] = K(a_i, b_j)."""
-    a = _check_matrix(a, "a")
-    b = _check_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise InvalidArgumentError(
-            f"dimension mismatch: a has d={a.shape[1]}, b has d={b.shape[1]}"
-        )
-    return _kernel_matrix(a, b, kernel)
+    # squared_distances rejects a dimension mismatch
+    return _kernel_matrix(_check_matrix(a, "a"), _check_matrix(b, "b"), kernel)
 
 
 def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Unlike the training free energy, these include every term of the V-statistic
 (all double sums, i = j included), so reported values are directly comparable
-across methods and runs.
+across methods and runs.  Energy distance is the squared discrepancy of the
+negative-Euclidean kernel (:meth:`KernelConfig.negative_euclidean`) and is
+computed by the same code as the Gaussian-kernel one; only
+:func:`mode_occupancy` uses raw distances.
 """
 
 from __future__ import annotations
@@ -12,15 +15,21 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .kernels import _check_matrix, cross_gram, gram, pairwise_distances
+from .kernels import _check_sample, cross_gram, gram, pairwise_distances
 from .model import KernelConfig
 
+_ENERGY_KERNEL = KernelConfig.negative_euclidean()
 
-def _check_sample(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise InvalidArgumentError(f"{name} must be nonempty")
-    return _check_matrix(x, name)
+
+def _mean_kernel(x: np.ndarray, y: np.ndarray, kernel: KernelConfig) -> float:
+    """(1/NM) sum_ij K(x_i, y_j), from the Gram matrix when y is x."""
+    k = gram(x, kernel) if x is y else cross_gram(x, y, kernel)
+    return float(k.sum()) / (x.shape[0] * y.shape[0])
+
+
+def _mmd2(x: np.ndarray, y: np.ndarray, kernel: KernelConfig, yy: float) -> float:
+    """MMD^2 of x against y, given y's mean kernel term ``yy``."""
+    return _mean_kernel(x, x, kernel) - 2.0 * _mean_kernel(x, y, kernel) + yy
 
 
 def mmd2_two_sample(x, y, kernel: KernelConfig) -> float:
@@ -30,25 +39,18 @@ def mmd2_two_sample(x, y, kernel: KernelConfig) -> float:
     """
     x = _check_sample(x, "x")
     y = _check_sample(y, "y")
-    n, m = x.shape[0], y.shape[0]
-    xx = float(gram(x, kernel).sum()) / (n * n)
-    xy = float(cross_gram(x, y, kernel).sum()) / (n * m)
-    yy = float(gram(y, kernel).sum()) / (m * m)
-    return xx - 2.0 * xy + yy
+    return _mmd2(x, y, kernel, _mean_kernel(y, y, kernel))
 
 
 def energy_distance(x, y) -> float:
     """Energy distance between two samples:
 
     (2/NM) sum |x_i - y_l| - (1/N^2) sum |x_i - x_j| - (1/M^2) sum |y_l - y_k|
+
+    It is the squared discrepancy of the negative-Euclidean kernel and is
+    computed as exactly that by :func:`mmd2_two_sample`.
     """
-    x = _check_sample(x, "x")
-    y = _check_sample(y, "y")
-    n, m = x.shape[0], y.shape[0]
-    xy = float(pairwise_distances(x, y).sum()) / (n * m)
-    xx = float(pairwise_distances(x, x).sum()) / (n * n)
-    yy = float(pairwise_distances(y, y).sum()) / (m * m)
-    return 2.0 * xy - xx - yy
+    return mmd2_two_sample(x, y, _ENERGY_KERNEL)
 
 
 def mode_occupancy(particles, means) -> np.ndarray:
@@ -69,33 +71,24 @@ def mode_occupancy(particles, means) -> np.ndarray:
 class RunEvaluator:
     """Repeated two-sample evaluation against a fixed reference set.
 
-    Caches the reference-reference terms so per-iteration evaluation inside a
-    run costs only the particle-particle and particle-reference sums; results
-    match :func:`mmd2_two_sample` / :func:`energy_distance` exactly.
+    Caches both kernels' reference-reference terms so per-iteration evaluation
+    inside a run costs only the particle-particle and particle-reference sums;
+    results match :func:`mmd2_two_sample` / :func:`energy_distance` exactly.
     """
 
     def __init__(self, reference, kernel: KernelConfig):
         self.reference = _check_sample(reference, "reference")
         self.kernel = kernel
-        m = self.reference.shape[0]
-        self._yy_kernel = float(gram(self.reference, kernel).sum()) / (m * m)
-        self._yy_dist = float(
-            pairwise_distances(self.reference, self.reference).sum()
-        ) / (m * m)
+        self._yy_kernel = _mean_kernel(self.reference, self.reference, kernel)
+        self._yy_energy = _mean_kernel(self.reference, self.reference, _ENERGY_KERNEL)
 
     def mmd2(self, particles) -> float:
         particles = _check_sample(particles, "particles")
-        n, m = particles.shape[0], self.reference.shape[0]
-        xx = float(gram(particles, self.kernel).sum()) / (n * n)
-        xy = float(cross_gram(particles, self.reference, self.kernel).sum()) / (n * m)
-        return xx - 2.0 * xy + self._yy_kernel
+        return _mmd2(particles, self.reference, self.kernel, self._yy_kernel)
 
     def energy_distance(self, particles) -> float:
         particles = _check_sample(particles, "particles")
-        n, m = particles.shape[0], self.reference.shape[0]
-        xy = float(pairwise_distances(particles, self.reference).sum()) / (n * m)
-        xx = float(pairwise_distances(particles, particles).sum()) / (n * n)
-        return 2.0 * xy - xx - self._yy_dist
+        return _mmd2(particles, self.reference, _ENERGY_KERNEL, self._yy_energy)
 
     def evaluate(self, particles) -> Tuple[float, float]:
         return self.mmd2(particles), self.energy_distance(particles)

@@ -33,6 +33,15 @@ def _frozen_array(values, name: str, ndim: int, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_positive(value, name: str, *, allow_zero: bool = False) -> float:
+    """``value`` as a float, once finite and > 0 (>= 0 with ``allow_zero``)."""
+    value = float(value)
+    if not np.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        bound = ">=" if allow_zero else ">"
+        raise InvalidArgumentError(f"{name} must be {bound} 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ParticleSet:
     """N particle positions in d dimensions at outer-iteration ``iteration``.
@@ -247,9 +256,7 @@ class BandwidthSchedule:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidArgumentError(f"schedule parameter {name} must be > 0, got {v!r}")
+            v = _check_positive(getattr(self, name), f"schedule parameter {name}")
             object.__setattr__(self, name, v)
 
 
@@ -271,8 +278,7 @@ class SolverConfig:
     lbfgs_grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not np.isfinite(self.tau_star) or self.tau_star <= 0:
-            raise InvalidArgumentError(f"tau_star must be > 0, got {self.tau_star!r}")
+        _check_positive(self.tau_star, "tau_star")
         if int(self.mc_samples) != self.mc_samples or self.mc_samples < 1:
             raise InvalidArgumentError(f"mc_samples must be >= 1, got {self.mc_samples!r}")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
@@ -283,10 +289,7 @@ class SolverConfig:
             raise InvalidArgumentError(
                 f"lbfgs_max_inner must be >= 1, got {self.lbfgs_max_inner!r}"
             )
-        if not np.isfinite(self.lbfgs_grad_tol) or self.lbfgs_grad_tol <= 0:
-            raise InvalidArgumentError(
-                f"lbfgs_grad_tol must be > 0, got {self.lbfgs_grad_tol!r}"
-            )
+        _check_positive(self.lbfgs_grad_tol, "lbfgs_grad_tol")
         object.__setattr__(self, "mc_samples", int(self.mc_samples))
         object.__setattr__(self, "max_iter", int(self.max_iter))
 

@@ -296,8 +296,10 @@ def run_loop(
     is true every ``record_stride`` iterations and at the last, and then a
     row is recorded whose displacement is measured against the previously
     recorded positions.  ``on_iteration`` receives every step's
-    :class:`IterationInfo`.  A step's :class:`NumericalFailureError` is
-    re-raised with the particles that step started from and the rows so far.
+    :class:`IterationInfo`.  A step's :class:`NumericalFailureError`, or a
+    step that returns non-finite particles, raises
+    :class:`NumericalFailureError` with the particles that step started from
+    and the rows so far.
     With zero iterations the initial particles are returned unchanged.
     """
     particles = np.array(init, dtype=float)
@@ -307,6 +309,8 @@ def run_loop(
         record = n % record_stride == 0 or n == max_iter
         try:
             info = step(n, particles, record)
+            if not np.all(np.isfinite(info.particles)):
+                raise NumericalFailureError("the step returned non-finite particles")
         except NumericalFailureError as exc:
             raise NumericalFailureError(
                 f"step failed at iteration {n}: {exc}",
@@ -337,12 +341,13 @@ def run_loop(
 
 def check_run_inputs(init_particles, target, kinds: tuple) -> np.ndarray:
     """The initial particles as a float array, once they are a finite N x d
-    matrix and ``target`` is an instance of one of ``kinds`` with dimension d.
+    matrix with N >= 1 and ``target`` is an instance of one of ``kinds`` with
+    dimension d.
 
     Every run function starts with this check."""
     init = np.array(init_particles, dtype=float)
-    if init.ndim != 2 or not np.all(np.isfinite(init)):
-        raise InvalidArgumentError("init_particles must be a finite N x d matrix")
+    if init.ndim != 2 or init.shape[0] < 1 or not np.all(np.isfinite(init)):
+        raise InvalidArgumentError("init_particles must be a finite N x d matrix with N >= 1")
     if not isinstance(target, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise InvalidArgumentError(f"target must be of type {names}, got {type(target).__name__}")

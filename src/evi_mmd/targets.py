@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import DensityTarget, _check_shifts, _frozen_array
+from .model import DensityTarget, _check_positive, _check_shifts, _frozen_array
 
 _WEIGHT_TOL = 1e-12
 # Probe rows per pass of the mixture sweep: the pass's (d, rows) scratch
@@ -43,7 +43,8 @@ class GaussianMixture:
     built coordinate by coordinate in one reused buffer, and sums each
     particle's gradients over l inside the pass.  Its output bytes equal
     :meth:`density_and_grad` on the probe matrix followed by
-    ``reshape(N, L, d).sum(axis=1)``.
+    ``reshape(N, L, d).sum(axis=1)``.  Point evaluations run the same
+    passes with the one offset 0.
     """
 
     weights: np.ndarray
@@ -92,24 +93,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _accumulate(self, x: np.ndarray, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
-        # Sweep the probes in passes of _SWEEP_ROWS rows, each on a
-        # coordinate-major (d, rows) copy so every ufunc runs on contiguous
-        # rows of one coordinate.
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise InvalidArgumentError(f"probes must be n x {self.dim}, got shape {x.shape}")
-        n = x.shape[0]
-        dens = np.empty(n)
-        grad = np.empty_like(x) if with_grad else None
-        for start in range(0, n, _SWEEP_ROWS):
-            rows = slice(start, start + _SWEEP_ROWS)
-            dens[rows], grad_t = self._sweep(np.ascontiguousarray(x[rows].T), with_grad)
-            if with_grad:
-                for j, grad_j in enumerate(grad_t):
-                    grad[rows, j] = grad_j
-        return dens, grad
-
     def _sweep(self, coords: np.ndarray, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
         """Density (m,) and transposed gradient (d, m) at the m columns of
         ``coords``, in place in scratch buffers of (d, m) floats."""
@@ -138,33 +121,47 @@ class GaussianMixture:
                 grad_t -= np.multiply(comp, pulled, out=prod)
         return dens, grad_t
 
+    def _at_points(self, x, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
+        # The points are probes with one zero offset: x + 0.0 is x except at
+        # -0.0, which only ever meets zero products.
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise InvalidArgumentError(f"probes must be n x {self.dim}, got shape {x.shape}")
+        return self._shifted(x, np.zeros((1, self.dim)), with_grad)
+
     def density(self, x: np.ndarray) -> np.ndarray:
-        dens, _ = self._accumulate(x, with_grad=False)
-        return dens
+        return self._at_points(x, with_grad=False)[0]
 
     def grad_density(self, x: np.ndarray) -> np.ndarray:
-        _, grad = self._accumulate(x, with_grad=True)
-        return grad
+        return self._at_points(x, with_grad=True)[1]
 
     def density_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self._accumulate(x, with_grad=True)
+        return self._at_points(x, with_grad=True)
 
     def shifted_density_and_grad(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
         """Density at the N·L probes x_i + o_l, i-major, and the (N, d) sums
         over l of their gradients, without an (N·L, d) probe matrix."""
         x, offsets = _check_shifts(x, offsets, self.dim)
+        return self._shifted(x, offsets, with_grad=True)
+
+    def _shifted(self, x, offsets, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
+        # Each pass sweeps the probes of whole particles on a coordinate-major
+        # (d, rows) copy, so every ufunc runs on contiguous rows of one
+        # coordinate.  The gradient sums are laid out like ``x``.
         (n, d), n_off = x.shape, offsets.shape[0]
         per_pass = max(1, _SWEEP_ROWS // n_off)
         vals = np.empty(n * n_off)
-        grad_sums = np.empty((n, d))
+        grad_sums = np.empty_like(x) if with_grad else None
         coords = np.empty((d, min(per_pass, n), n_off))
         for start in range(0, n, per_pass):
             stop = min(start + per_pass, n)
             block = coords[:, : stop - start]
             for j in range(d):
                 np.add.outer(x[start:stop, j], offsets[:, j], out=block[j])
-            dens, grad_t = self._sweep(block.reshape(d, -1), with_grad=True)
+            dens, grad_t = self._sweep(block.reshape(d, -1), with_grad)
             vals[start * n_off : stop * n_off] = dens
+            if not with_grad:
+                continue
             grad_t = grad_t.reshape(block.shape)
             # The summation order of reshape(N, L, d).sum(axis=1): sequential
             # over l for d >= 2; at d = 1 numpy drops the unit axis and sums
@@ -300,9 +297,7 @@ def isotropic_gaussian(d: int, sigma: float = 1.0) -> DensityTarget:
     """N(0, sigma^2 I_d) with exact sampler; initialization box [-2, 2]^d."""
     if int(d) != d or d < 1:
         raise InvalidArgumentError(f"dimension must be a positive integer, got {d!r}")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise InvalidArgumentError(f"sigma must be > 0, got {sigma!r}")
+    sigma = _check_positive(sigma, "sigma")
     d = int(d)
     mixture = GaussianMixture(
         weights=np.ones(1),

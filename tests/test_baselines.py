@@ -3,6 +3,7 @@ import pytest
 
 from evi_mmd import (
     BandwidthSchedule,
+    DensityTarget,
     EmpiricalTarget,
     InvalidArgumentError,
     KernelConfig,
@@ -25,7 +26,8 @@ from evi_mmd import (
 from evi_mmd import baselines
 from evi_mmd.baselines import svgd_step
 from evi_mmd.free_energy import density_closures
-from evi_mmd.kernels import gram, squared_distances
+from evi_mmd.kernels import gram, pairwise_distances, squared_distances
+from evi_mmd.metrics import RunEvaluator
 
 
 class TestLmcSchedule:
@@ -166,6 +168,40 @@ class TestEnergyDistanceRun:
         )
         expect = energy_distance(final.positions, data)
         assert record.rows[0].free_energy == pytest.approx(expect, rel=1e-10)
+
+    def test_rows_bitwise_equal_to_pairwise_formulas(self, monkeypatch):
+        # The batch constant and the evaluator's energy distance are
+        # negative-Euclidean kernel sums; their bytes are those of the sums
+        # of pairwise distances the recorded rows were first computed from.
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(60, 2))
+        target = EmpiricalTarget(data, minibatch_size=20)
+        reference = rng.normal(size=(40, 2))
+        init = rng.uniform(-2, 2, size=(10, 2))
+        batches, infos = [], []
+        draw = baselines.draw_minibatch
+
+        def recorded_draw(target, rng):
+            batches.append(draw(target, rng))
+            return batches[-1]
+
+        monkeypatch.setattr(baselines, "draw_minibatch", recorded_draw)
+        _, record = energy_distance_run(
+            target, SolverConfig(tau_star=1.0, max_iter=4), np.random.default_rng(7), init,
+            evaluator=RunEvaluator(reference, KernelConfig.gaussian(0.5)),
+            on_iteration=infos.append,
+        )
+        assert len(record) == len(batches) == len(infos) == 4
+        for row, batch, info in zip(record.rows, batches, infos):
+            m = batch.shape[0]
+            batch_const = -float(pairwise_distances(batch, batch).sum()) / (m * m)
+            assert info.report_offset.hex() == batch_const.hex()
+            assert row.free_energy.hex() == (info.free_energy + batch_const).hex()
+            n = info.particles.shape[0]
+            xy = float(pairwise_distances(info.particles, reference).sum()) / (n * 40)
+            xx = float(pairwise_distances(info.particles, info.particles).sum()) / (n * n)
+            yy = float(pairwise_distances(reference, reference).sum()) / (40 * 40)
+            assert row.energy_dist_eval.hex() == (2.0 * xy - xx - yy).hex()
 
 
 def einsum_svgd_step(pts, target, h, eta0):
@@ -320,6 +356,69 @@ class TestLmc:
         assert [r.n for r in record.rows] == [100, 200, 250]
 
 
+def nan_beyond(radius):
+    """A 1-d target whose density is NaN beyond ``radius`` and whose gradient
+    points away from 0 (grad = +x rho), so a particle drifts out to it."""
+
+    def density(x):
+        x = np.atleast_2d(x)
+        rho = np.exp(-0.5 * x[:, 0] ** 2)
+        return np.where(np.abs(x[:, 0]) > radius, np.nan, rho)
+
+    return DensityTarget(
+        density=density,
+        grad_density=lambda x: np.atleast_2d(x) * density(x)[:, None],
+        domain_box=(np.array([-1.0]), np.array([1.0])),
+    )
+
+
+def overflowing_gradient():
+    """A 1-d target whose score grad rho / rho overflows to inf."""
+    return DensityTarget(
+        density=lambda x: np.full(len(x), 0.1),
+        grad_density=lambda x: np.full_like(x, 1e308),
+        domain_box=(np.array([-1.0]), np.array([1.0])),
+    )
+
+
+# SVGD and Langevin as run(target, init, **keywords), deterministic.
+DRIFT_RUNS = {
+    "svgd": lambda t, x, **kw: svgd_run(t, 0.5, 0.5, 20, x, **kw),
+    "lmc": lambda t, x, **kw: lmc_run(
+        t, LmcSchedule(1.0, 1.0, 0.55), 20, np.random.default_rng(0), x,
+        noise_scale=0.0, **kw,
+    ),
+}
+
+
+class TestNonFiniteSteps:
+    """A density that turns NaN, or a score that overflows the update, is a
+    numerical failure with the last finite particles and the rows so far."""
+
+    @pytest.mark.parametrize("method", list(DRIFT_RUNS))
+    def test_nan_density(self, method):
+        infos = []
+        with pytest.raises(NumericalFailureError) as err:
+            DRIFT_RUNS[method](
+                nan_beyond(2.0), np.array([[1.0]]), record_stride=1, on_iteration=infos.append
+            )
+        assert len(infos) >= 2
+        assert len(err.value.partial_record) == len(infos)
+        last = err.value.last_iterate
+        np.testing.assert_array_equal(last, infos[-1].particles)
+        assert np.all(np.isfinite(last)) and abs(last[0, 0]) > 2.0
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("method", list(DRIFT_RUNS))
+    def test_overflowing_update(self, method):
+        init = np.array([[0.1], [0.2], [0.3]])
+        evaluator = RunEvaluator(np.zeros((3, 1)), KernelConfig.gaussian(1.0))
+        with pytest.raises(NumericalFailureError, match="non-finite particles") as err:
+            DRIFT_RUNS[method](overflowing_gradient(), init, record_stride=1, evaluator=evaluator)
+        np.testing.assert_array_equal(err.value.last_iterate, init)
+        assert len(err.value.partial_record) == 0
+
+
 def _empirical_3d():
     return EmpiricalTarget(np.random.default_rng(0).normal(size=(10, 3)), minibatch_size=5)
 
@@ -361,6 +460,42 @@ ACCEPTED_IDS = [
 ]
 
 
+def _never_evaluated():
+    """A 3-d density target that fails the test if a step evaluates it."""
+
+    def fail(x):
+        raise AssertionError("a run evaluated its target before checking its arguments")
+
+    return DensityTarget(density=fail, grad_density=fail, domain_box=(-np.ones(3), np.ones(3)))
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+# (run, the argument's name): (run(target, init, value), values it rejects,
+# a value at or near the bound that it accepts).  Rejection comes before the
+# first step.
+SCALAR_RUNS = {
+    ("explicit_mmd", "eta0"): (
+        lambda t, x, v: explicit_euler_mmd_run(t, _SCHEDULE, v, 1, np.random.default_rng(0), x),
+        [0.0, -1.0] + _NON_FINITE,
+        1e-3,
+    ),
+    ("svgd", "eta0"): (lambda t, x, v: svgd_run(t, 0.5, v, 1, x), [-1.0] + _NON_FINITE, 0.0),
+    ("svgd", "bandwidth"): (
+        lambda t, x, v: svgd_run(t, v, 0.1, 1, x),
+        [0.0, -1.0] + _NON_FINITE,
+        1e-3,
+    ),
+    ("lmc", "noise_scale"): (
+        lambda t, x, v: lmc_run(
+            t, LmcSchedule(0.1, 1.0, 0.55), 1, np.random.default_rng(0), x, noise_scale=v
+        ),
+        [-1.0] + _NON_FINITE,
+        0.0,
+    ),
+}
+
+
 class TestRunInputCheck:
     """Every run function rejects a bad init or a wrong target the same way."""
 
@@ -382,6 +517,11 @@ class TestRunInputCheck:
         with pytest.raises(InvalidArgumentError, match="init_particles must be a finite"):
             RUNS[method](make_target(), init)
 
+    @pytest.mark.parametrize("method,make_target", ACCEPTED, ids=ACCEPTED_IDS)
+    def test_empty_init(self, method, make_target):
+        with pytest.raises(InvalidArgumentError, match="N >= 1"):
+            RUNS[method](make_target(), np.zeros((0, 3)))
+
     @pytest.mark.parametrize("method", list(RUNS))
     def test_init_not_a_matrix(self, method):
         with pytest.raises(InvalidArgumentError, match="init_particles must be a finite N x d"):
@@ -402,6 +542,22 @@ class TestRunInputCheck:
         with pytest.raises(InvalidArgumentError, match="target must be"):
             RUNS[method](target, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize(
+        "method,name,value",
+        [(m, name, v) for m, name in SCALAR_RUNS for v in SCALAR_RUNS[m, name][1]],
+    )
+    def test_bad_scalar_argument(self, method, name, value):
+        run = SCALAR_RUNS[method, name][0]
+        with pytest.raises(InvalidArgumentError, match=name):
+            run(_never_evaluated(), np.zeros((4, 3)), value)
+
+    @pytest.mark.parametrize("method,name", list(SCALAR_RUNS))
+    def test_scalar_argument_near_its_bound(self, method, name):
+        run, _, value = SCALAR_RUNS[method, name]
+        init = np.random.default_rng(1).uniform(-1, 1, size=(4, 3))
+        final, _ = run(isotropic_gaussian(3), init, value)
+        assert np.all(np.isfinite(final.positions))
+
 
 def test_energy_distance_batch_constant_only_on_recorded_rows(monkeypatch):
     rng = np.random.default_rng(3)
@@ -410,14 +566,14 @@ def test_energy_distance_batch_constant_only_on_recorded_rows(monkeypatch):
     cfg = SolverConfig(tau_star=1.0, max_iter=6)
     _, every = energy_distance_run(target, cfg, np.random.default_rng(4), init)
 
-    sweep = baselines.pairwise_distances
+    sweep = baselines.square_term
     calls = []
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return sweep(a, b)
+    def counted(batch, kernel):
+        calls.append(batch.shape)
+        return sweep(batch, kernel)
 
-    monkeypatch.setattr(baselines, "pairwise_distances", counted)
+    monkeypatch.setattr(baselines, "square_term", counted)
     _, thinned = energy_distance_run(
         target, cfg, np.random.default_rng(4), init, record_stride=3
     )

@@ -45,6 +45,9 @@ def test_traced_child_run(tmp_path, config):
     result = json.loads(result_path.read_text())
     assert result["failures"] == []
     counts = result["trace"]["counts"]
+    # Only the median heuristic of the automatic bandwidth (a: auto) computes
+    # raw distances; energy distance goes through gram and cross_gram.
+    assert counts["kernels.pairwise_distances.calls"] == 1
     if raw["method"] == "svgd":
         assert counts["baselines.svgd_step.calls"] == 30
     elif raw["method"] == "explicit_mmd":

@@ -360,7 +360,7 @@ class TestExpSplit:
 
     LISTED = [
         -707.9, FAST_MIN, -708.1, -745.13, CUTOFF,
-        np.nextafter(CUTOFF, -np.inf), -1e4, 0.0,
+        np.nextafter(CUTOFF, -np.inf), -1e4, -np.inf, 0.0,
     ]
 
     def test_listed_arguments(self):
@@ -408,6 +408,22 @@ class TestExpSplit:
         else:
             got = cross_gram(a, b, KernelConfig.gaussian(h))
         assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("h", [0.1, 1.0, 1e100])
+    def test_overflowed_squared_distances(self, h):
+        # Points 1e200 apart overflow their squared distance to inf, so the
+        # exponent is -inf, where np.exp gives 0.0 (and a product with a
+        # 0/1 mask would give NaN).
+        a = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 0.0], [0.0, -3e199]])
+        b = np.array([[-1e200, 1.0], [0.5, 0.5], [1e200, 1e200]])
+        exponents = gaussian_exponents(a, b, h)
+        assert np.any(np.isneginf(exponents))
+        expect = np.exp(exponents)
+        assert cross_gram(a, b, KernelConfig.gaussian(h)).tobytes() == expect.tobytes()
+        expect = np.exp(gaussian_exponents(a, a, h))
+        np.fill_diagonal(expect, 1.0)
+        assert gram(a, KernelConfig.gaussian(h)).tobytes() == expect.tobytes()
 
     def test_numpy_exp_is_exactly_zero_below_the_cutoff(self):
         # The split writes 0.0 below the cutoff without calling exp.  A numpy

@@ -14,6 +14,7 @@ from evi_mmd import (
     mode_occupancy,
     neg_euclid_eval,
 )
+from evi_mmd.kernels import cross_gram, gram, pairwise_distances
 from evi_mmd.metrics import RunEvaluator
 
 GAUSS1 = KernelConfig.gaussian(1.0)
@@ -40,6 +41,55 @@ def energy_double_loop(x, y):
     xx = sum(d(x[i], x[j]) for i in range(n) for j in range(n)) / n**2
     yy = sum(d(y[i], y[j]) for i in range(m) for j in range(m)) / m**2
     return 2 * xy - xx - yy
+
+
+def pairwise_energy_distance(x, y):
+    """Energy distance summed straight from pairwise distances, the formula
+    it had before it became the negative-Euclidean MMD^2; its bytes are the
+    reference."""
+    n, m = x.shape[0], y.shape[0]
+    xy = float(pairwise_distances(x, y).sum()) / (n * m)
+    xx = float(pairwise_distances(x, x).sum()) / (n * n)
+    yy = float(pairwise_distances(y, y).sum()) / (m * m)
+    return 2.0 * xy - xx - yy
+
+
+def gram_mmd2(x, y, kernel):
+    """The Gaussian-kernel MMD^2 formula of the evaluator, as a reference."""
+    n, m = x.shape[0], y.shape[0]
+    xx = float(gram(x, kernel).sum()) / (n * n)
+    xy = float(cross_gram(x, y, kernel).sum()) / (n * m)
+    yy = float(gram(y, kernel).sum()) / (m * m)
+    return xx - 2.0 * xy + yy
+
+
+def energy_cases(count=240, seed=11):
+    """(x, y) pairs with n, m in [1, 60] and d in {1, 2, 3, 10}: independent
+    draws, identical multisets (y a shuffled copy of x, or x itself), and
+    samples with all-zero rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = (1, 2, 3, 10)[i % 4]
+        n, m = rng.integers(1, 61, size=2)
+        x = rng.normal(scale=rng.choice([0.1, 1.0, 30.0]), size=(n, d))
+        kind = (i // 4) % 4
+        if kind == 0:
+            y = rng.normal(size=(m, d))
+        elif kind == 1:
+            y = x[rng.permutation(n)]
+        elif kind == 2:
+            y = x
+        else:
+            y = rng.normal(size=(m, d))
+            x[rng.random(n) < 0.5] = 0.0
+            y[rng.random(m) < 0.5] = 0.0
+            if i % 8 == 7:
+                x[:] = 0.0
+        yield x, y
+
+
+def float_bytes(value):
+    return float(value).hex()
 
 
 class TestMmd2:
@@ -125,6 +175,26 @@ class TestEnergyDistance:
         x = rng.normal(size=(rng.integers(1, 6), 2))
         y = rng.normal(size=(rng.integers(1, 6), 2))
         assert energy_distance(x, y) == pytest.approx(energy_distance(y, x), abs=1e-12)
+
+
+class TestEnergyDistanceBitwise:
+    """Energy distance as the negative-Euclidean MMD^2 keeps the bytes of the
+    pairwise-distance formula."""
+
+    def test_energy_distance(self):
+        for x, y in energy_cases():
+            got = energy_distance(x, y)
+            assert float_bytes(got) == float_bytes(pairwise_energy_distance(x, y))
+
+    def test_run_evaluator(self):
+        kernel = KernelConfig.gaussian(0.7)
+        for x, y in energy_cases(seed=12):
+            evaluator = RunEvaluator(y, kernel)
+            expect = pairwise_energy_distance(x, y)
+            assert float_bytes(evaluator.energy_distance(x)) == float_bytes(expect)
+            mmd2, energy = evaluator.evaluate(x)
+            assert float_bytes(energy) == float_bytes(expect)
+            assert float_bytes(mmd2) == float_bytes(gram_mmd2(x, y, kernel))
 
 
 class TestModeOccupancy:

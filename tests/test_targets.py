@@ -358,6 +358,46 @@ class TestMixtureSweep:
         assert grads.flags.c_contiguous == ref_grads.flags.c_contiguous
 
 
+def point_mixtures(d):
+    """Mixtures in d dimensions, each with a mean coordinate at exactly 0.0,
+    where a -0.0 point coordinate and a +0.0 one give differently signed
+    differences."""
+    random = random_mixture(d, seed=30 + d)
+    means = random.means.copy()
+    means[0] = 0.0
+    zero_mean = GaussianMixture(random.weights, means, random.covariances)
+    builtins = [star_mixture(), eight_mixture()] if d == 2 else []
+    return [mixture_of(isotropic_gaussian(d, 1.5)), zero_mean] + [
+        mixture_of(t) for t in builtins
+    ]
+
+
+class TestPointSweep:
+    """Point evaluations are the shifted sweep with the one offset 0: their
+    bytes are those of a single ``_sweep`` over the transposed points."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize(
+        "n", [0, 1, _SWEEP_ROWS - 1, _SWEEP_ROWS, _SWEEP_ROWS + 1, 20000]
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_bitwise_equal_to_one_sweep(self, d, n, layout):
+        rng = np.random.default_rng(1000 * d + n)
+        x = rng.normal(scale=3.0, size=(n, d))
+        x[rng.random((n, d)) < 0.1] = -0.0
+        x[::7] = -0.0
+        x = np.array(x, order=layout)
+        for mixture in point_mixtures(d):
+            ref_dens, ref_grad_t = mixture._sweep(np.ascontiguousarray(x.T), with_grad=True)
+            dens, grads = mixture.density_and_grad(x)
+            assert dens.tobytes() == ref_dens.tobytes()
+            assert grads.tobytes() == ref_grad_t.T.tobytes()
+            assert grads.flags.c_contiguous == x.flags.c_contiguous
+            assert grads.flags.f_contiguous == x.flags.f_contiguous
+            assert mixture.density(x).tobytes() == ref_dens.tobytes()
+            assert mixture.grad_density(x).tobytes() == ref_grad_t.T.tobytes()
+
+
 def probe_path(target, x, offsets):
     """Density and L-summed gradient through ``density_and_grad`` on the
     (N·L, d) probe matrix: the reference of ``shifted_density_and_grad``."""
