@@ -205,7 +205,7 @@ def svgd_run(
     column is NaN (the method does not track a kernel-discrepancy objective).
     """
     init = check_run_inputs(init_particles, target, (DensityTarget,))
-    bandwidth = _check_positive(bandwidth, "bandwidth")
+    bandwidth = KernelConfig.gaussian(bandwidth).bandwidth
     eta0 = _check_positive(eta0, "eta0", allow_zero=True)
 
     def step(n: int, particles: np.ndarray, record: bool) -> IterationInfo:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as io_csv
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_seed, load_config
 from .errors import (
     ConfigError,
     DatasetError,
@@ -91,13 +91,9 @@ def _cmd_run(args) -> int:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}", field="seed"
+                f"expected an integer, got {env_seed!r}", field=SEED_ENV_VAR
             ) from None
-        if not 0 <= seed < 2**64:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must fit in an unsigned 64-bit integer", field="seed"
-            )
-        cfg = replace(cfg, seed=seed)
+        cfg = replace(cfg, seed=check_seed(seed, field=SEED_ENV_VAR))
     return run_experiment(cfg)
 
 

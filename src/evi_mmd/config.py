@@ -90,6 +90,13 @@ def _as_int(key: str, value) -> int:
     return value
 
 
+def check_seed(seed: int, field: str = "seed") -> int:
+    """``seed`` once it fits numpy's unsigned 64-bit seed range."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"must fit in an unsigned 64-bit integer, got {seed}", field=field)
+    return seed
+
+
 def _as_positive_int(key: str, value) -> int:
     v = _as_int(key, value)
     if v < 1:
@@ -173,10 +180,7 @@ def _validate_raw(raw: dict) -> dict:
             out[name] = check(out[name])
 
     if "seed" in out:
-        seed = _as_int("seed", out["seed"])
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"must fit in an unsigned 64-bit integer, got {seed}", field="seed")
-        out["seed"] = seed
+        out["seed"] = check_seed(_as_int("seed", out["seed"]))
 
     if "a" in out and out["a"] != "auto":
         out["a"] = _as_positive_float("a", out["a"])

@@ -226,10 +226,12 @@ class KernelConfig:
                 f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}"
             )
         if self.kind == GAUSSIAN:
+            # h^2 divides every exponent and gradient: it must not underflow.
             h = float(self.bandwidth)
-            if not np.isfinite(h) or h <= 0:
+            if not np.isfinite(h) or h <= 0 or h * h < np.finfo(float).tiny:
                 raise InvalidArgumentError(
-                    f"Gaussian kernel requires bandwidth > 0, got {self.bandwidth!r}"
+                    "Gaussian kernel requires bandwidth > 0 whose square is a normal float, "
+                    f"got {self.bandwidth!r}"
                 )
             object.__setattr__(self, "bandwidth", h)
 

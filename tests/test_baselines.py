@@ -483,7 +483,8 @@ SCALAR_RUNS = {
     ("svgd", "eta0"): (lambda t, x, v: svgd_run(t, 0.5, v, 1, x), [-1.0] + _NON_FINITE, 0.0),
     ("svgd", "bandwidth"): (
         lambda t, x, v: svgd_run(t, v, 0.1, 1, x),
-        [0.0, -1.0] + _NON_FINITE,
+        # the last three square to a subnormal or to 0.0
+        [0.0, -1.0] + _NON_FINITE + [1e-155, 2e-162, 5e-324],
         1e-3,
     ),
     ("lmc", "noise_scale"): (

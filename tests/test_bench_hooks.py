@@ -2,12 +2,15 @@
 lookup (see ``bench/tracing.py``).  A tiny traced run keeps a rename of a
 hooked name from silently breaking ``bench/run.py --trace 1``."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from evi_mmd.io import RUN_RECORD_HEADER
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "bench", "child.py")
@@ -67,3 +70,17 @@ def test_traced_child_run(tmp_path, config):
         calls = counts["targets.density_and_grad.calls"]
         assert calls > 0
         assert counts["targets.density_and_grad.points"] == 400 * calls
+
+
+def test_bench_run_record_header_matches_the_package():
+    """``bench/run.py`` checks run records against its own copy of the header;
+    read it with ``ast`` so no bytecode is written beside the benchmark."""
+    with open(os.path.join(ROOT, "bench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [bench_header] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "RUN_RECORD_HEADER" for t in node.targets)
+    ]
+    assert tuple(bench_header) == RUN_RECORD_HEADER

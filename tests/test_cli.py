@@ -74,6 +74,17 @@ class TestRunCommand:
         monkeypatch.setenv("EVI_MMD_SEED", "not-a-number")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys, seed):
+        cfg_path = write_cfg(tmp_path)
+        monkeypatch.setenv("EVI_MMD_SEED", seed)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert "EVI_MMD_SEED: must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_underflowing_svgd_bandwidth_is_config_error(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, method="svgd", bandwidth=1e-200, maxIter=2)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, N=-1)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
@@ -256,3 +267,13 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         lines = dict(line.split("=") for line in out.strip().splitlines())
         assert float(lines["mmd2"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_unparsable_snapshot_is_data_error(self, tmp_path, capsys):
+        xp = tmp_path / "snap.csv"
+        xp.write_text("iter,particle_id,dim_0,dim_1\nabc,0,0.5,-1.0\n")
+        yp = tmp_path / "ref.csv"
+        yp.write_text("dim_0,dim_1\n0.5,-1.0\n")
+        assert main(["metrics", "--x", str(xp), "--y", str(yp)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 2: column iter")
+        assert "Traceback" not in err

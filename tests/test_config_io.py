@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import evi_mmd.io
 from evi_mmd import (
     ConfigError,
     DatasetError,
@@ -12,6 +15,8 @@ from evi_mmd import (
 )
 from evi_mmd.config import config_to_dict, dump_config
 from evi_mmd.io import (
+    RUN_RECORD_COLUMNS,
+    RUN_RECORD_HEADER,
     load_dataset_csv,
     read_particles_csv,
     read_points_any,
@@ -186,6 +191,16 @@ class TestParticlesCsv:
         assert lines[0] == "iter,particle_id,dim_0,dim_1"
         assert lines[1] == "3,0,0.5,-1"
 
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "p.csv"
+        positions = np.array([[-0.0, 0.1], [1e20, -2.0 / 3.0]])
+        write_particles(ParticleSet(positions, iteration=12), str(path))
+        assert path.read_bytes() == (
+            b"iter,particle_id,dim_0,dim_1\r\n"
+            b"12,0,-0,0.10000000000000001\r\n"
+            b"12,1,1e+20,-0.66666666666666663\r\n"
+        )
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "p.csv"
         ps = ParticleSet(np.random.default_rng(1).normal(size=(17, 4)), iteration=99)
@@ -202,6 +217,19 @@ class TestParticlesCsv:
         write_particles(ParticleSet(data, iteration=1), str(p_path))
         np.testing.assert_array_equal(read_points_any(str(d_path)), data)
         np.testing.assert_array_equal(read_points_any(str(p_path)), data)
+
+    def test_read_points_any_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        write_particles(ParticleSet(np.array([[1.0, 2.0]]), iteration=4), str(path))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(evi_mmd.io, "open", counting_open, raising=False)
+        np.testing.assert_array_equal(read_points_any(str(path)), [[1.0, 2.0]])
+        assert opened == [str(path)]
 
 
 class TestRunRecordCsv:
@@ -226,3 +254,79 @@ class TestRunRecordCsv:
         assert np.isnan(back.rows[0].mmd2_eval)
         assert np.isnan(back.rows[1].h_n)
         assert back.rows[1].displacement == 0.0625
+
+    def test_exact_text(self, tmp_path):
+        rows = (
+            IterationRow(1, 0.1, -0.0, float("nan"), 1.0 / 3.0, 7, 1e-300),
+            IterationRow(5000, 2.0 / 3.0, -123456.789, 0.0, 5e-324, 0, float("nan")),
+        )
+        path = tmp_path / "r.csv"
+        write_run_record(RunRecord(rows), str(path))
+        assert path.read_bytes() == (
+            b"iter,h_n,free_energy,mmd2_eval,energy_dist_eval,inner_iters,displacement\r\n"
+            b"1,0.10000000000000001,-0,nan,0.33333333333333331,7,1e-300\r\n"
+            b"5000,0.66666666666666663,-123456.789,0,4.9406564584124654e-324,0,nan\r\n"
+        )
+        back = read_run_record_csv(str(path))
+        assert back.rows[0].free_energy == 0.0 and np.signbit(back.rows[0].free_energy)
+        assert back.rows[1].energy_dist_eval == 5e-324
+
+    def test_columns_follow_iteration_row_fields(self):
+        # the annotations are strings under postponed evaluation
+        assert [f.type for f in fields(IterationRow)] == [
+            kind.__name__ for _, kind in RUN_RECORD_COLUMNS
+        ]
+
+
+# A valid header and row per reader; each malformed case sits on line 4,
+# after a blank line that must not shift the reported line numbers.
+VALID = {
+    load_dataset_csv: ("dim_0,dim_1", "1.0,2.0"),
+    read_particles_csv: ("iter,particle_id,dim_0,dim_1", "3,0,1.0,2.0"),
+    read_run_record_csv: (",".join(RUN_RECORD_HEADER), "1,0.5,nan,0.1,0.2,3,0.25"),
+}
+
+
+def _table(reader, bad_line):
+    header, row = VALID[reader]
+    return f"{header}\n{row}\n\n{bad_line}\n"
+
+
+MALFORMED = [
+    case
+    for reader in VALID
+    for case in [
+        (reader, "missing", None, None),
+        (reader, "empty", "", None),
+        (reader, "not-utf8", b"\xff\xfe\x00d\x00i\x00m\x00", None),
+        (reader, "wrong-header", "x,y\n1.0,2.0\n", 1),
+        (reader, "blank-header", "\n1.0,2.0\n", 1),
+        (reader, "ragged", _table(reader, "1"), 4),
+    ]
+] + [
+    (load_dataset_csv, "token", _table(load_dataset_csv, "1.0,abc"), 4),
+    (read_particles_csv, "token", _table(read_particles_csv, "abc,1,1.0,2.0"), 4),
+    (read_run_record_csv, "token", _table(read_run_record_csv, "2,x,nan,0.1,0.2,3,0.25"), 4),
+    (read_run_record_csv, "int-column", _table(read_run_record_csv, "2,0.5,0,0,0,3.5,0"), 4),
+    (load_dataset_csv, "non-finite", _table(load_dataset_csv, "inf,1.0"), 4),
+    (read_particles_csv, "non-finite", _table(read_particles_csv, "3,1,1.0,nan"), 4),
+    (read_particles_csv, "no-coordinates", "iter,particle_id\n3,0\n", 1),
+    (read_particles_csv, "negative-iter", "iter,particle_id,dim_0\n-1,0,1.0\n", None),
+    (read_run_record_csv, "iter-order", _table(read_run_record_csv, "1,1,1,1,1,1,1"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,content,row",
+    [(reader, content, row) for reader, _, content, row in MALFORMED],
+    ids=[f"{reader.__name__}-{case}" for reader, case, _, _ in MALFORMED],
+)
+def test_malformed_file_is_dataset_error(tmp_path, reader, content, row):
+    path = tmp_path / "bad.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(DatasetError) as err:
+        reader(str(path))
+    assert err.value.row == row

@@ -156,6 +156,14 @@ class TestEmpiricalTarget:
 
 
 class TestKernelConfig:
+    @pytest.mark.parametrize("h", [1e-155, 2e-162, 5e-324])
+    def test_gaussian_bandwidth_square_must_not_underflow(self, h):
+        with pytest.raises(InvalidArgumentError, match="bandwidth"):
+            KernelConfig.gaussian(h)
+
+    def test_gaussian_bandwidth_with_a_normal_square_accepted(self):
+        assert KernelConfig.gaussian(1e-150).bandwidth == 1e-150
+
     def test_gaussian_requires_positive_bandwidth(self):
         with pytest.raises(InvalidArgumentError):
             KernelConfig.gaussian(0.0)
