@@ -15,7 +15,9 @@ from typing import Optional, Tuple, Union
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
+from .model import BandwidthSchedule
+from .solver import check_schedule
 
 METHODS = ("evi_mmd", "explicit_mmd", "energy_distance", "svgd", "lmc")
 TARGETS = ("star", "eight", "wave", "gaussian", "csv")
@@ -228,6 +230,12 @@ def _resolve(out: dict) -> ExperimentConfig:
         cfg = replace(cfg, metrics_stride=100 if cfg.method in ("svgd", "lmc") else 1)
     if cfg.tau_star is None and cfg.dim is not None:
         cfg = replace(cfg, tau_star=float(cfg.dim))
+    if cfg.a != "auto":
+        # The run builds a Gaussian kernel at every bandwidth down to h(maxIter).
+        try:
+            check_schedule(BandwidthSchedule(a=cfg.a, b=cfg.b, c=cfg.c), cfg.max_iter)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc), field="a") from None
     if cfg.L > cfg.M and cfg.empirical and cfg.target != "csv":
         raise ConfigError(f"mini-batch L={cfg.L} exceeds training size M={cfg.M}", field="L")
     return cfg

@@ -80,10 +80,10 @@ def _parse(token: str, line: int, column: str, kind: type, finite: bool):
 
 def _read_table(
     path: str, columns_for: Callable[[List[str]], Columns], finite: bool = True
-) -> Tuple[Columns, List[list]]:
-    """The columns ``columns_for(header)`` names and the parsed rows of a CSV
-    table; blank lines are skipped and real values must be finite when
-    ``finite``."""
+) -> Tuple[Columns, List[list], List[int]]:
+    """The columns ``columns_for(header)`` names, the parsed rows of a CSV
+    table and their line numbers; blank lines are skipped and real values
+    must be finite when ``finite``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -96,7 +96,7 @@ def _read_table(
                 raise DatasetError(
                     f"expected header {','.join(names)!r}, got {','.join(header)!r}", row=1
                 )
-            rows = []
+            rows, lines = [], []
             for row in reader:
                 if not row:
                     continue
@@ -106,9 +106,10 @@ def _read_table(
                 rows.append(
                     [_parse(t, line, name, kind, finite) for t, (name, kind) in zip(row, columns)]
                 )
+                lines.append(line)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    return columns, rows
+    return columns, rows, lines
 
 
 def _write_table(path: str, columns: Columns, rows: Iterable[Sequence]) -> None:
@@ -120,14 +121,24 @@ def _write_table(path: str, columns: Columns, rows: Iterable[Sequence]) -> None:
 
 
 def _read_points(path: str, columns_for: Callable) -> Tuple[int, np.ndarray]:
-    """The last row's ``iter`` (0 for a dataset) and the coordinates of a
-    dataset or particle snapshot."""
-    columns, rows = _read_table(path, columns_for)
+    """The ``iter`` (0 for a dataset) and the coordinates of a dataset or
+    particle snapshot; a snapshot's rows share one ``iter`` and number the
+    particles 0..N-1 in order."""
+    columns, rows, lines = _read_table(path, columns_for)
     if not rows:
         raise DatasetError(f"{path} contains a header but no rows")
     keys = len(_PARTICLE_KEYS) if columns[: len(_PARTICLE_KEYS)] == _PARTICLE_KEYS else 0
+    if keys:
+        iteration = rows[0][0]
+        for pid, (row, line) in enumerate(zip(rows, lines)):
+            if row[0] != iteration:
+                raise DatasetError(
+                    f"iter {row[0]} differs from the first row's {iteration}", row=line
+                )
+            if row[1] != pid:
+                raise DatasetError(f"particle_id {row[1]}, expected {pid}", row=line)
     data = np.array([row[keys:] for row in rows], dtype=float)
-    return (rows[-1][0] if keys else 0), data
+    return (rows[0][0] if keys else 0), data
 
 
 def load_dataset_csv(path: str, minibatch_size: int | None = None) -> EmpiricalTarget:
@@ -159,8 +170,8 @@ def write_particles(particles: ParticleSet, path: str) -> None:
 
 
 def read_particles_csv(path: str) -> ParticleSet:
-    """Read a particle snapshot written by :func:`write_particles`; its
-    iteration is the last row's."""
+    """Read a particle snapshot written by :func:`write_particles`: every row
+    has the same ``iter``, and ``particle_id`` runs 0..N-1 in order."""
     iteration, positions = _read_points(path, _particle_columns)
     try:
         return ParticleSet(positions=positions, iteration=iteration)

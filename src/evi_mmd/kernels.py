@@ -7,7 +7,9 @@ also round exactly as the einsum formula ``sum_j (a_j - b_j)**2`` evaluated
 by ``np.einsum("ijd,ijd->ij")`` does; at d >= 3 that einsum groups its sum
 differently, and the two agree to rtol 1e-13 (``tests/test_kernels.py``).
 Gram matrices are materialized in full; particle counts in this package stay
-in the hundreds, so O(N^2 d) is fine.
+in the hundreds, so O(N^2 d) is fine.  (The evaluation metrics sum the
+thousands-row reference Gram block by block instead, through
+:func:`_squared_distances_into` and :func:`_kernel_from_squared`.)
 
 The Gaussian kernel's exponentials go through :func:`_exp_inplace`, which
 returns the bytes of ``np.exp`` but keeps arguments below -708 out of its
@@ -111,17 +113,27 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros((n, m))
     b_coords = np.ascontiguousarray(b.T)
-    # The first coordinate's square goes straight into ``out``: it is what
-    # 0.0 + square gives, since a square is never -0.0.
     out = np.empty((n, m))
     term = np.empty((min(n, _CHUNK), m))
     for start in range(0, n, _CHUNK):
-        a_coords = a[start : start + _CHUNK].T
-        rows = out[start : start + _CHUNK]
-        buf = term[: rows.shape[0]]
-        _squared_difference(a_coords[0], b_coords[0], rows)
-        for a_j, b_j in zip(a_coords[1:], b_coords[1:]):
-            rows += _squared_difference(a_j, b_j, buf)
+        rows = slice(start, start + _CHUNK)
+        _squared_distances_into(a[rows], b_coords, out[rows], term)
+    return out
+
+
+def _squared_distances_into(
+    a: np.ndarray, b_coords: np.ndarray, out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the squared distances between the rows of ``a`` and
+    the points whose coordinates are the rows of ``b_coords`` (d x M);
+    ``term`` is scratch with at least ``out``'s rows and M columns."""
+    a_coords = a.T
+    buf = term[: out.shape[0]]
+    # The first coordinate's square goes straight into ``out``: it is what
+    # 0.0 + square gives, since a square is never -0.0.
+    _squared_difference(a_coords[0], b_coords[0], out)
+    for a_j, b_j in zip(a_coords[1:], b_coords[1:]):
+        out += _squared_difference(a_j, b_j, buf)
     return out
 
 
@@ -134,8 +146,12 @@ def _squared_difference(a_j: np.ndarray, b_j: np.ndarray, out: np.ndarray) -> np
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, computed as sqrt of squared norms
     clamped at zero so round-off cannot leak under the sqrt."""
-    out = squared_distances(a, b)
-    np.maximum(out, 0.0, out=out)
+    return _clamped_sqrt(squared_distances(a, b))
+
+
+def _clamped_sqrt(sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(max(sq, 0)) into ``out`` (in place by default)."""
+    out = np.maximum(sq, 0.0, out=sq if out is None else out)
     return np.sqrt(out, out=out)
 
 
@@ -163,34 +179,40 @@ def _exp_inplace(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> np.ndarray:
+def _kernel_from_squared(
+    sq: np.ndarray, kernel: KernelConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel values from C-contiguous squared distances, written to ``out``
+    (in place by default); ``sq`` is left unchanged when ``out`` is another
+    buffer."""
+    out = sq if out is None else out
     if kernel.kind == GAUSSIAN:
-        out = squared_distances(a, b)
         # Same bytes as negating first: IEEE division is sign-symmetric.
-        out /= -2.0 * kernel.bandwidth**2
+        np.divide(sq, -2.0 * kernel.bandwidth**2, out=out)
         return _exp_inplace(out)
     if kernel.kind == NEGATIVE_EUCLIDEAN:
-        out = pairwise_distances(a, b)
-        return np.negative(out, out=out)
+        return np.negative(_clamped_sqrt(sq, out), out=out)
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
+
+
+# K(x, x) as ``gram`` writes it.
+_GRAM_DIAGONAL = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: 0.0}
 
 
 def gram(points, kernel: KernelConfig) -> np.ndarray:
     """Full kernel matrix K[i, j] = K(x_i, x_j); exactly symmetric, and the
     Gaussian case has a unit diagonal."""
     points = _check_matrix(points, "points")
-    out = _kernel_matrix(points, points, kernel)
-    if kernel.kind == GAUSSIAN:
-        np.fill_diagonal(out, 1.0)
-    else:
-        np.fill_diagonal(out, 0.0)
+    out = _kernel_from_squared(squared_distances(points, points), kernel)
+    np.fill_diagonal(out, _GRAM_DIAGONAL[kernel.kind])
     return out
 
 
 def cross_gram(a, b, kernel: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix C[i, j] = K(a_i, b_j)."""
     # squared_distances rejects a dimension mismatch
-    return _kernel_matrix(_check_matrix(a, "a"), _check_matrix(b, "b"), kernel)
+    sq = squared_distances(_check_matrix(a, "a"), _check_matrix(b, "b"))
+    return _kernel_from_squared(sq, kernel)
 
 
 def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

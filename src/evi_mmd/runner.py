@@ -32,7 +32,7 @@ from .model import (
     SolverConfig,
     initial_particles,
 )
-from .solver import IterationInfo, auto_schedule, evi_mmd_run
+from .solver import IterationInfo, auto_schedule, check_schedule, evi_mmd_run
 from .targets import eight_mixture, isotropic_gaussian, star_mixture, wave_density
 
 # Stream offsets under the master seed.
@@ -132,7 +132,8 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
     init = initial_particles(target, cfg.N, init_rng)
 
     if cfg.a == "auto":
-        schedule = auto_schedule(init, cfg.b, cfg.c)
+        # A numeric scale was checked with the config.
+        schedule = check_schedule(auto_schedule(init, cfg.b, cfg.c), cfg.max_iter)
     else:
         schedule = BandwidthSchedule(a=float(cfg.a), b=cfg.b, c=cfg.c)
 

@@ -57,6 +57,17 @@ def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     return schedule.a / float(n) ** schedule.c + schedule.b
 
 
+def check_schedule(schedule: BandwidthSchedule, max_iter: int) -> BandwidthSchedule:
+    """``schedule`` once its smallest bandwidth, h(max_iter), makes a valid
+    Gaussian kernel (:class:`KernelConfig`'s rule: h^2 is a normal float)."""
+    h = bandwidth_at(schedule, max_iter)
+    try:
+        KernelConfig.gaussian(h)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"bandwidth schedule at iteration {max_iter}: {exc}") from None
+    return schedule
+
+
 def median_pairwise_distance(points) -> float:
     """Median over the N(N-1)/2 distinct-pair Euclidean distances."""
     points = np.asarray(points, dtype=float)

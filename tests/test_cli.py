@@ -85,6 +85,29 @@ class TestRunCommand:
         cfg_path = write_cfg(tmp_path, method="svgd", bandwidth=1e-200, maxIter=2)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_underflowing_schedule_fails_before_any_output(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, a=1e-200, b=1e-200)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "run_record.csv").exists()
+
+    def test_auto_schedule_is_checked_before_the_reference_is_drawn(
+        self, tmp_path, monkeypatch
+    ):
+        # An auto scale is known only once the particles are drawn; its
+        # schedule must still fail before the reference sample and evaluator.
+        import evi_mmd.runner as runner
+        from evi_mmd.model import BandwidthSchedule
+
+        monkeypatch.setattr(
+            runner, "auto_schedule", lambda init, b, c: BandwidthSchedule(1e-200, b, c)
+        )
+        drawn = []
+        monkeypatch.setattr(runner, "reference_samples", lambda *args: drawn.append(args))
+        cfg_path = write_cfg(tmp_path, b=1e-200)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert drawn == []
+        assert not (tmp_path / "out" / "run_record.csv").exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, N=-1)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
@@ -267,6 +290,16 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         lines = dict(line.split("=") for line in out.strip().splitlines())
         assert float(lines["mmd2"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_spliced_snapshot_is_data_error(self, tmp_path, capsys):
+        xp = tmp_path / "snap.csv"
+        xp.write_text("iter,particle_id,dim_0,dim_1\n9,0,0.5,-1.0\n10,1,0.5,-1.0\n")
+        yp = tmp_path / "ref.csv"
+        yp.write_text("dim_0,dim_1\n0.5,-1.0\n")
+        assert main(["metrics", "--x", str(xp), "--y", str(yp)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 3: iter 10")
+        assert "Traceback" not in err
 
     def test_unparsable_snapshot_is_data_error(self, tmp_path, capsys):
         xp = tmp_path / "snap.csv"

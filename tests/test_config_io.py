@@ -107,6 +107,18 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert err.value.field == "L"
 
+    def test_schedule_whose_last_bandwidth_square_underflows_rejected(self):
+        # h(maxIter) = 1e-200 / 5000**0.5 + 1e-200; its square is 0.0
+        raw = dict(MINIMAL, a=1e-200, b=1e-200)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.field == "a"
+        assert "iteration 5000" in str(err.value)
+
+    def test_schedule_with_a_normal_last_square_accepted(self):
+        cfg = config_from_dict(dict(MINIMAL, a=1e-150, b=1e-150))
+        assert (cfg.a, cfg.b) == (1e-150, 1e-150)
+
     def test_bool_is_not_an_int(self):
         raw = dict(MINIMAL, N=True)
         with pytest.raises(ConfigError):
@@ -208,6 +220,36 @@ class TestParticlesCsv:
         back = read_particles_csv(str(path))
         assert back.iteration == 99
         np.testing.assert_array_equal(back.positions, ps.positions)
+
+    @pytest.mark.parametrize("n,d,iteration", [(1, 1, 0), (3, 2, 7), (40, 5, 123456)])
+    def test_written_snapshot_reads_back(self, tmp_path, n, d, iteration):
+        path = tmp_path / "p.csv"
+        positions = np.random.default_rng(n).normal(size=(n, d))
+        write_particles(ParticleSet(positions, iteration=iteration), str(path))
+        back = read_particles_csv(str(path))
+        assert back.iteration == iteration
+        np.testing.assert_array_equal(back.positions, positions)
+
+    def test_rows_from_two_iterations_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("iter,particle_id,dim_0\n4,0,1.0\n4,1,2.0\n\n5,2,3.0\n")
+        with pytest.raises(DatasetError) as err:
+            read_particles_csv(str(path))
+        assert err.value.row == 5
+        assert "iter 5" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "ids,row",
+        [((1, 0, 2), 2), ((0, 2, 1), 3), ((0, 1, 3), 4), ((0, 0, 1), 3)],
+        ids=["swapped-first", "swapped-later", "gap", "repeated"],
+    )
+    def test_particle_ids_must_run_from_zero_in_order(self, tmp_path, ids, row):
+        path = tmp_path / "p.csv"
+        rows = "".join(f"2,{pid},{pid}.5\n" for pid in ids)
+        path.write_text("iter,particle_id,dim_0\n" + rows)
+        with pytest.raises(DatasetError) as err:
+            read_particles_csv(str(path))
+        assert err.value.row == row
 
     def test_read_points_any_handles_both_schemas(self, tmp_path):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from evi_mmd import (
     mode_occupancy,
     neg_euclid_eval,
 )
+from evi_mmd import metrics
 from evi_mmd.kernels import cross_gram, gram, pairwise_distances
 from evi_mmd.metrics import RunEvaluator
+from evi_mmd.targets import eight_mixture
 
 GAUSS1 = KernelConfig.gaussian(1.0)
 
@@ -55,7 +58,8 @@ def pairwise_energy_distance(x, y):
 
 
 def gram_mmd2(x, y, kernel):
-    """The Gaussian-kernel MMD^2 formula of the evaluator, as a reference."""
+    """MMD^2 from the full kernel matrices' numpy sums: the bytes the
+    evaluator's blocked sums must keep."""
     n, m = x.shape[0], y.shape[0]
     xx = float(gram(x, kernel).sum()) / (n * n)
     xy = float(cross_gram(x, y, kernel).sum()) / (n * m)
@@ -228,3 +232,80 @@ class TestRunEvaluator:
         m, e = ev.evaluate(particles)
         assert m == pytest.approx(mmd2_two_sample(particles, ref, kernel), abs=1e-14)
         assert e == pytest.approx(energy_distance(particles, ref), abs=1e-14)
+
+
+def pairwise_tree_leaves(size):
+    """(start, size) of the leaves :func:`metrics._pairwise_sum` visits."""
+    leaves = []
+    metrics._pairwise_sum(0, size, lambda start, n: leaves.append((start, n)) or 0.0)
+    return leaves
+
+
+class TestBlockedMeans:
+    """The reference-reference term is summed block by block, never as a full
+    M x M matrix, and keeps the bytes of that matrix's numpy sum."""
+
+    # 1999-2001 straddle the 2000-point reference of a run; at 1234 points
+    # most leaf boundaries fall inside a row.
+    @pytest.mark.parametrize("m", [1234, 1999, 2000, 2001])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("h", [0.5, 0.05], ids=["h0.5", "h0.05-subnormal-shell"])
+    def test_bitwise_equal_to_the_full_gram_sum(self, m, d, h):
+        rng = np.random.default_rng(m * 100 + d)
+        y = rng.normal(scale=2.0, size=(m, d))
+        x = rng.normal(scale=2.0, size=(150, d))
+        kernel = KernelConfig.gaussian(h)
+        energy_kernel = KernelConfig.negative_euclidean()
+        assert len(pairwise_tree_leaves(m * m)) > 1
+        gauss_expect = float_bytes(gram_mmd2(x, y, kernel))
+        energy_expect = float_bytes(gram_mmd2(x, y, energy_kernel))
+
+        mmd2, energy = RunEvaluator(y, kernel).evaluate(x)
+        assert float_bytes(mmd2) == gauss_expect
+        assert float_bytes(energy) == energy_expect
+        assert float_bytes(mmd2_two_sample(x, y, kernel)) == gauss_expect
+        assert float_bytes(energy_distance(x, y)) == energy_expect
+
+    def test_leaves_cut_rows_mid_row(self):
+        leaves = pairwise_tree_leaves(1234 * 1234)
+        assert any(start % 1234 for start, _ in leaves)
+        assert all(size <= metrics._LEAF for _, size in leaves)
+
+    @pytest.mark.parametrize("size", [129, 1000, 8191, 8193, 65537, 1234**2, 2000**2])
+    def test_numpy_sums_by_the_pairwise_tree(self, size):
+        # The blocked sums rely on this: numpy's sum of a contiguous float64
+        # array is the sum of its two halves' sums, split after
+        # n//2 - (n//2) % 8 entries.  A numpy that sums otherwise must fail
+        # here, not change output bytes silently.
+        rng = np.random.default_rng(size)
+        a = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e5], size=size)
+        half = size // 2 - (size // 2) % 8
+        assert float_bytes(a.sum()) == float_bytes(a[:half].sum() + a[half:].sum())
+        leaf_sums = lambda start, n: a[start : start + n].sum()
+        assert float_bytes(metrics._pairwise_sum(0, size, leaf_sums)) == float_bytes(a.sum())
+        if size == 2000**2:
+            assert float_bytes(a.reshape(2000, 2000).sum()) == float_bytes(a.sum())
+
+    @pytest.mark.parametrize("h", [0.5, 0.05])
+    def test_evaluator_memory_peak(self, h):
+        # The full Gram matrices took 34.6 MiB here; the blocked sums hold
+        # three 31 x 2000 buffers (1.5 MiB) and the per-block temporaries.
+        reference = eight_mixture().exact_sampler(np.random.default_rng(0), 2000)
+        particles = reference[:200].copy()
+        tracemalloc.start()
+        try:
+            evaluator = RunEvaluator(reference, KernelConfig.gaussian(h))
+            init_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            evaluator.evaluate(particles)
+            evaluate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert init_peak < 4 * 2**20
+        assert evaluate_peak < 4 * 2**20
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            RunEvaluator(np.zeros((3, 2)), GAUSS1).evaluate(np.zeros((2, 3)))
+        with pytest.raises(InvalidArgumentError):
+            mmd2_two_sample(np.zeros((2, 3)), np.zeros((3, 2)), GAUSS1)
