@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as io_csv
-from .config import ExperimentConfig, check_seed, load_config
+from .config import DENSITY_TARGETS, check_value, config_from_dict, load_config
 from .errors import (
     ConfigError,
     DatasetError,
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out-dir", default=None, help="override the config out_dir")
 
     sample_p = sub.add_parser("sample-target", help="emit exact target samples")
-    sample_p.add_argument("name", choices=("star", "eight", "wave", "gaussian"))
+    sample_p.add_argument("name", choices=DENSITY_TARGETS)
     sample_p.add_argument("--n", type=int, required=True, help="number of samples")
     sample_p.add_argument("--seed", type=int, default=0)
     sample_p.add_argument("--out", required=True, help="output CSV path")
@@ -90,27 +90,22 @@ def _cmd_run(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            raise ConfigError(
-                f"expected an integer, got {env_seed!r}", field=SEED_ENV_VAR
-            ) from None
-        cfg = replace(cfg, seed=check_seed(seed, field=SEED_ENV_VAR))
+            seed = env_seed  # the seed check rejects the string by name
+        cfg = replace(cfg, seed=check_value("seed", SEED_ENV_VAR, seed))
     return run_experiment(cfg)
 
 
 def _cmd_sample_target(args) -> int:
-    if args.name == "gaussian":
-        if args.d is None:
-            raise ConfigError("gaussian target requires --d", field="target_d")
-        cfg_kwargs = dict(target_d=args.d, target_sigma=args.sigma)
-    else:
-        cfg_kwargs = {}
-    cfg = ExperimentConfig(
-        method="evi_mmd", target=args.name, N=1, max_iter=1, **cfg_kwargs
+    raw = dict(
+        method="evi_mmd", target=args.name, N=1, maxIter=1, seed=args.seed, target_sigma=args.sigma
     )
+    if args.d is not None:
+        raw["target_d"] = args.d
+    cfg = config_from_dict(raw)
     target = make_density_target(cfg)
     if args.n < 1:
         raise ConfigError("--n must be >= 1", field="n")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(cfg.seed)
     samples = target.exact_sampler(rng, args.n)
     io_csv.write_dataset_csv(samples, args.out)
     return EXIT_OK

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as io_csv
 from .baselines import LmcSchedule, energy_distance_run, explicit_euler_mmd_run, lmc_run, svgd_run
-from .config import ExperimentConfig, dump_config
+from .config import SCHEDULE_METHODS, ExperimentConfig, dump_config
 from .errors import InvalidArgumentError
 from .metrics import RunEvaluator
 from .model import (
@@ -131,7 +131,9 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
     init_rng = _stream(cfg.seed, STREAM_INIT)
     init = initial_particles(target, cfg.N, init_rng)
 
-    if cfg.a == "auto":
+    if cfg.method not in SCHEDULE_METHODS:
+        schedule = None
+    elif cfg.a == "auto":
         # A numeric scale was checked with the config.
         schedule = check_schedule(auto_schedule(init, cfg.b, cfg.c), cfg.max_iter)
     else:

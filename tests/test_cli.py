@@ -90,6 +90,18 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "run_record.csv").exists()
 
+    @pytest.mark.parametrize("method", ["svgd", "lmc"])
+    def test_methods_without_a_schedule_never_build_one(self, tmp_path, monkeypatch, method):
+        import evi_mmd.runner as runner
+
+        def no_schedule(*args):
+            raise AssertionError(f"{method} built a bandwidth schedule")
+
+        monkeypatch.setattr(runner, "auto_schedule", no_schedule)
+        assert main(["run", str(write_cfg(tmp_path, method=method, maxIter=2))]) == 0
+        cfg_path = write_cfg(tmp_path, method=method, maxIter=2, a=1e-200, b=1e-200)
+        assert main(["run", str(cfg_path)]) == 0
+
     def test_auto_schedule_is_checked_before_the_reference_is_drawn(
         self, tmp_path, monkeypatch
     ):
@@ -254,6 +266,16 @@ class TestSampleTargetCommand:
         )
         assert code == 0
         assert load_dataset_csv(str(out)).dim == 5
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_is_config_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "e.csv"
+        code = main(["sample-target", "eight", "--n", "3", "--seed", seed, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed: must fit in an unsigned 64-bit integer")
+        assert not out.exists()
 
 
 class TestMetricsCommand:

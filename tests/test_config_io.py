@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import evi_mmd.io
 from evi_mmd import (
     ConfigError,
     DatasetError,
+    ExperimentConfig,
     IterationRow,
     ParticleSet,
     RunRecord,
@@ -26,7 +29,12 @@ from evi_mmd.io import (
     write_run_record,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 MINIMAL = {"method": "evi_mmd", "target": "eight", "N": 200, "maxIter": 5000, "c": 0.5}
+POSITIVE_REAL_KEYS = [
+    "tau_star", "a", "b", "c", "eta0", "bandwidth", "lmc_a", "lmc_b", "lmc_c",
+    "eval_bandwidth", "target_sigma",
+]
 
 
 class TestConfigParsing:
@@ -55,6 +63,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert "bandwidth" in str(err.value)
+
+    def test_non_string_key_is_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**MINIMAL, 1: 2})
+        assert err.value.field == 1
 
     def test_field_name_max_iter_is_not_a_key(self):
         raw = {"method": "evi_mmd", "target": "eight", "N": 10, "max_iter": 5}
@@ -115,6 +128,35 @@ class TestConfigParsing:
         assert err.value.field == "a"
         assert "iteration 5000" in str(err.value)
 
+    def test_explicit_euler_checks_the_schedule_too(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(MINIMAL, method="explicit_mmd", a=1e-200, b=1e-200))
+        assert err.value.field == "a"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(method="svgd"), dict(method="lmc"), dict(method="energy_distance", two_sample=True)],
+        ids=["svgd", "lmc", "energy_distance"],
+    )
+    def test_methods_without_a_schedule_ignore_it(self, overrides):
+        cfg = config_from_dict(dict(MINIMAL, a=1e-200, b=1e-200, **overrides))
+        assert (cfg.a, cfg.b) == (1e-200, 1e-200)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+    @pytest.mark.parametrize("key", POSITIVE_REAL_KEYS)
+    def test_non_finite_positive_real_names_its_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(MINIMAL, **{key: value}))
+        assert err.value.field == key
+
+    def test_non_finite_floor_is_blamed_on_the_floor(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("method: evi_mmd\ntarget: eight\nN: 5\nmaxIter: 5\na: 1.0\nb: .inf\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == "b"
+        assert str(err.value) == "b: must be finite, got inf"
+
     def test_schedule_with_a_normal_last_square_accepted(self):
         cfg = config_from_dict(dict(MINIMAL, a=1e-150, b=1e-150))
         assert (cfg.a, cfg.b) == (1e-150, 1e-150)
@@ -145,6 +187,15 @@ class TestConfigParsing:
     def test_config_to_dict_uses_file_keys(self):
         d = config_to_dict(config_from_dict(dict(MINIMAL)))
         assert "maxIter" in d and "max_iter" not in d
+
+    def test_readme_config_block_names_every_key(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        block = section.split("```yaml", 1)[1].split("```", 1)[0]
+        keys = config_to_dict(config_from_dict(dict(MINIMAL, target_csv="x.csv", target_d=2)))
+        assert len(keys) == len(fields(ExperimentConfig))
+        missing = [k for k in keys if not re.search(rf"(?<!\w){re.escape(k)}:", block)]
+        assert missing == []
 
 
 class TestDatasetCsv:
