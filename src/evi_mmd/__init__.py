@@ -45,7 +45,7 @@ from .model import (
     SolverConfig,
     initial_particles,
 )
-from .runner import execute, run_experiment
+from .runner import run_experiment
 from .solver import (
     auto_schedule,
     bandwidth_at,
@@ -95,7 +95,6 @@ __all__ = [
     "energy_distance",
     "energy_distance_run",
     "evi_mmd_run",
-    "execute",
     "explicit_euler_mmd_run",
     "free_energy",
     "gauss_eval",

@@ -27,13 +27,12 @@ from .config import DENSITY_TARGETS, check_value, config_from_dict, load_config
 from .errors import (
     ConfigError,
     DatasetError,
-    EviMmdError,
     InvalidArgumentError,
     NumericalFailureError,
 )
 from .metrics import energy_distance, mmd2_two_sample
 from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig
-from .runner import RUN_RECORD_FILE, make_density_target, run_experiment
+from .runner import make_density_target, run_experiment
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -96,8 +95,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sample_target(args) -> int:
+    # Only the target fields and the seed are read; the run fields are placeholders.
     raw = dict(
-        method="evi_mmd", target=args.name, N=1, maxIter=1, seed=args.seed, target_sigma=args.sigma
+        method="evi_mmd", target=args.name, N=2, maxIter=1, seed=args.seed, target_sigma=args.sigma
     )
     if args.d is not None:
         raw["target_d"] = args.d
@@ -144,17 +144,11 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_DATA
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if args.command == "run" and exc.partial_record is not None:
-            try:
-                cfg = load_config(args.config)
-                out_dir = args.out_dir or cfg.out_dir
-                os.makedirs(out_dir, exist_ok=True)
-                partial_path = os.path.join(out_dir, RUN_RECORD_FILE)
-                io_csv.write_run_record(exc.partial_record, partial_path)
-            except (EviMmdError, OSError) as write_exc:
-                print(f"could not write partial run record: {write_exc}", file=sys.stderr)
-            else:
-                print(f"partial run record written to {partial_path}", file=sys.stderr)
+        if exc.partial_record_error is not None:
+            error = exc.partial_record_error
+            print(f"could not write partial run record: {error}", file=sys.stderr)
+        elif exc.partial_record_path is not None:
+            print(f"partial run record written to {exc.partial_record_path}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

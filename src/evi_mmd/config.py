@@ -209,6 +209,9 @@ def _resolve(out: dict) -> ExperimentConfig:
         cfg = replace(cfg, metrics_stride=100 if cfg.method in ("svgd", "lmc") else 1)
     if cfg.tau_star is None and cfg.dim is not None:
         cfg = replace(cfg, tau_star=float(cfg.dim))
+    if cfg.a == "auto" and cfg.method in SCHEDULE_METHODS and cfg.N < 2:
+        # The automatic scale is a median distance between initial particles.
+        raise ConfigError(f"must be >= 2 when a is auto, got {cfg.N}", field="N")
     if cfg.a != "auto" and cfg.method in SCHEDULE_METHODS:
         # The run builds a Gaussian kernel at every bandwidth down to h(maxIter).
         try:

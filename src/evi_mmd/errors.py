@@ -30,6 +30,8 @@ class NumericalFailureError(EviMmdError, RuntimeError):
 
     Carries the last finite iterate, and for outer-loop failures the partial
     run record accumulated so far, so callers can salvage partial results.
+    ``run_experiment`` writes that record and sets ``partial_record_path``,
+    or ``partial_record_error`` to the error the write raised.
     """
 
     def __init__(
@@ -41,6 +43,8 @@ class NumericalFailureError(EviMmdError, RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.partial_record = partial_record
+        self.partial_record_path: Optional[str] = None
+        self.partial_record_error: Optional[Exception] = None
 
 
 class ConfigError(EviMmdError, ValueError):

@@ -7,20 +7,26 @@ one source draws never shifts the others.  All computation is sequential and
 deterministic; ``strict_deterministic`` is accepted for compatibility with
 environments that add parallel kernels, and currently coincides with the
 default execution path.
+
+:func:`run_experiment` alone writes a run's files, each as soon as it exists:
+the config echo before the first iteration, each snapshot when the loop
+reaches it, and the run record at the end or, on a numerical failure, the
+partial record before the error propagates.  It looks up the run functions,
+target builders and evaluator in this module's globals at each call.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import io as io_csv
 from .baselines import LmcSchedule, energy_distance_run, explicit_euler_mmd_run, lmc_run, svgd_run
 from .config import SCHEDULE_METHODS, ExperimentConfig, dump_config
-from .errors import InvalidArgumentError
+from .errors import EviMmdError, InvalidArgumentError, NumericalFailureError
 from .metrics import RunEvaluator
 from .model import (
     BandwidthSchedule,
@@ -28,7 +34,6 @@ from .model import (
     EmpiricalTarget,
     KernelConfig,
     ParticleSet,
-    RunRecord,
     SolverConfig,
     initial_particles,
 )
@@ -100,36 +105,17 @@ def reference_samples(
     return data[idx]
 
 
-class SnapshotCollector:
-    """Keeps particle snapshots at the requested iterations."""
-
-    def __init__(self, snapshot_iters, max_iter: int):
-        self.wanted = sorted({i for i in snapshot_iters if 1 <= i <= max_iter} | {max_iter})
-        self.snapshots: Dict[int, np.ndarray] = {}
-
-    def offer(self, info: IterationInfo) -> None:
-        if info.n in self.wanted:
-            self.snapshots[info.n] = np.array(info.particles)
-
-
-def resolve_tau_star(cfg: ExperimentConfig, dim: int) -> ExperimentConfig:
-    if cfg.tau_star is None:
-        return replace(cfg, tau_star=float(dim))
-    return cfg
-
-
-def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np.ndarray], ExperimentConfig]:
-    """Run the configured method and return its outputs in memory.
-
-    Returns (final particles, run record, snapshots by iteration, the fully
-    resolved config actually used).
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Execute a config and write its files into ``cfg.out_dir`` (see the
+    module docstring).  Returns 0; failures raise and are mapped to exit codes
+    by the CLI.  Writing a partial record sets ``partial_record_path`` (or
+    ``partial_record_error``) on the :class:`NumericalFailureError`.
     """
+    os.makedirs(cfg.out_dir, exist_ok=True)
     target, density = build_targets(cfg)
-    dim = target.dim
-    cfg = resolve_tau_star(cfg, dim)
-
-    init_rng = _stream(cfg.seed, STREAM_INIT)
-    init = initial_particles(target, cfg.N, init_rng)
+    if cfg.tau_star is None:
+        cfg = replace(cfg, tau_star=float(target.dim))
+    init = initial_particles(target, cfg.N, _stream(cfg.seed, STREAM_INIT))
 
     if cfg.method not in SCHEDULE_METHODS:
         schedule = None
@@ -141,53 +127,49 @@ def execute(cfg: ExperimentConfig) -> Tuple[ParticleSet, RunRecord, Dict[int, np
 
     reference = reference_samples(cfg, target, density)
     evaluator = RunEvaluator(reference, KernelConfig.gaussian(cfg.eval_bandwidth))
+    dump_config(cfg, os.path.join(cfg.out_dir, CONFIG_ECHO_FILE))
 
-    collector = SnapshotCollector(cfg.snapshot_iters, cfg.max_iter)
+    snapshot_iters = set(cfg.snapshot_iters) | {cfg.max_iter}
+
+    def write_snapshot(info: IterationInfo) -> None:
+        if info.n in snapshot_iters:
+            path = os.path.join(cfg.out_dir, f"particles_iter{info.n:06d}.csv")
+            io_csv.write_particles(ParticleSet(info.particles, iteration=info.n), path)
+
     algo_rng = _stream(cfg.seed, STREAM_ALGO)
-
     loop = dict(
-        record_stride=cfg.metrics_stride, evaluator=evaluator, on_iteration=collector.offer
+        record_stride=cfg.metrics_stride, evaluator=evaluator, on_iteration=write_snapshot
     )
-
-    if cfg.method in ("evi_mmd", "energy_distance"):
-        solver_cfg = SolverConfig(
-            tau_star=cfg.tau_star,
-            mc_samples=cfg.L,
-            max_iter=cfg.max_iter,
-        )
-        if cfg.method == "evi_mmd":
-            final, record = evi_mmd_run(target, schedule, solver_cfg, algo_rng, init, **loop)
+    record_path = os.path.join(cfg.out_dir, RUN_RECORD_FILE)
+    try:
+        if cfg.method in ("evi_mmd", "energy_distance"):
+            solver_cfg = SolverConfig(
+                tau_star=cfg.tau_star, mc_samples=cfg.L, max_iter=cfg.max_iter
+            )
+            if cfg.method == "evi_mmd":
+                _, record = evi_mmd_run(target, schedule, solver_cfg, algo_rng, init, **loop)
+            else:
+                _, record = energy_distance_run(target, solver_cfg, algo_rng, init, **loop)
+        elif cfg.method == "explicit_mmd":
+            _, record = explicit_euler_mmd_run(
+                target, schedule, cfg.eta0, cfg.max_iter, algo_rng, init, mc_samples=cfg.L, **loop
+            )
+        elif cfg.method == "svgd":
+            _, record = svgd_run(target, cfg.bandwidth, cfg.eta0, cfg.max_iter, init, **loop)
+        elif cfg.method == "lmc":
+            lmc_schedule = LmcSchedule(a_lmc=cfg.lmc_a, b_lmc=cfg.lmc_b, c_lmc=cfg.lmc_c)
+            noise_rng = _stream(cfg.seed, STREAM_METHOD_NOISE)
+            _, record = lmc_run(target, lmc_schedule, cfg.max_iter, noise_rng, init, **loop)
         else:
-            final, record = energy_distance_run(target, solver_cfg, algo_rng, init, **loop)
-    elif cfg.method == "explicit_mmd":
-        final, record = explicit_euler_mmd_run(
-            target, schedule, cfg.eta0, cfg.max_iter, algo_rng, init, mc_samples=cfg.L, **loop
-        )
-    elif cfg.method == "svgd":
-        final, record = svgd_run(target, cfg.bandwidth, cfg.eta0, cfg.max_iter, init, **loop)
-    elif cfg.method == "lmc":
-        lmc_schedule = LmcSchedule(a_lmc=cfg.lmc_a, b_lmc=cfg.lmc_b, c_lmc=cfg.lmc_c)
-        noise_rng = _stream(cfg.seed, STREAM_METHOD_NOISE)
-        final, record = lmc_run(target, lmc_schedule, cfg.max_iter, noise_rng, init, **loop)
-    else:
-        raise InvalidArgumentError(f"unknown method {cfg.method!r}")
-
-    return final, record, collector.snapshots, cfg
-
-
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute a config and write all artifacts into ``cfg.out_dir``.
-
-    Emits one particle snapshot CSV per requested iteration (the final
-    iteration always included), the run-record trace, and a resolved-config
-    echo file.  Returns 0; failures raise and are mapped to exit codes by the
-    CLI.
-    """
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    final, record, snapshots, resolved = execute(cfg)
-    for n, positions in sorted(snapshots.items()):
-        path = os.path.join(cfg.out_dir, f"particles_iter{n:06d}.csv")
-        io_csv.write_particles(ParticleSet(positions, iteration=n), path)
-    io_csv.write_run_record(record, os.path.join(cfg.out_dir, RUN_RECORD_FILE))
-    dump_config(resolved, os.path.join(cfg.out_dir, CONFIG_ECHO_FILE))
+            raise InvalidArgumentError(f"unknown method {cfg.method!r}")
+    except NumericalFailureError as exc:
+        if exc.partial_record is not None:
+            try:
+                io_csv.write_run_record(exc.partial_record, record_path)
+            except (EviMmdError, OSError) as write_exc:
+                exc.partial_record_error = write_exc
+            else:
+                exc.partial_record_path = record_path
+        raise
+    io_csv.write_run_record(record, record_path)
     return 0

@@ -249,24 +249,27 @@ def eight_mixture() -> DensityTarget:
 _WAVE_CONST = 9.93  # literal normalizer; the exact value is pi * sqrt(10)
 
 
+def _wave_terms(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x1, the residual x2 - sin(pi x1) and the density at each row of x."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x1 = x[:, 0]
+    resid = x[:, 1] - np.sin(np.pi * x1)
+    return x1, resid, np.exp(-0.1 * x1**2 - resid**2) / _WAVE_CONST
+
+
 def _wave_density(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x1, x2 = x[:, 0], x[:, 1]
-    return np.exp(-0.1 * x1**2 - (x2 - np.sin(np.pi * x1)) ** 2) / _WAVE_CONST
-
-
-def _wave_grad(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x1, x2 = x[:, 0], x[:, 1]
-    rho = _wave_density(x)
-    resid = x2 - np.sin(np.pi * x1)
-    g1 = rho * (-0.2 * x1 + 2.0 * np.pi * np.cos(np.pi * x1) * resid)
-    g2 = rho * (-2.0 * resid)
-    return np.stack([g1, g2], axis=1)
+    return _wave_terms(x)[2]
 
 
 def _wave_density_and_grad(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return _wave_density(x), _wave_grad(x)
+    x1, resid, rho = _wave_terms(x)
+    g1 = rho * (-0.2 * x1 + 2.0 * np.pi * np.cos(np.pi * x1) * resid)
+    g2 = rho * (-2.0 * resid)
+    return rho, np.stack([g1, g2], axis=1)
+
+
+def _wave_grad(x: np.ndarray) -> np.ndarray:
+    return _wave_density_and_grad(x)[1]
 
 
 def _wave_sampler(rng: np.random.Generator, n: int) -> np.ndarray:

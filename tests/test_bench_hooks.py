@@ -47,6 +47,14 @@ def test_traced_child_run(tmp_path, config):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(result_path.read_text())
     assert result["failures"] == []
+    if raw["method"] in ("evi_mmd", "svgd"):
+        # the child's loop marks wrap the run functions runner looks up per run
+        marks = result["marks"]
+        assert marks["config"] <= marks["loop_start"] <= marks["loop_end"] <= marks["done"]
+    out = tmp_path / "run"
+    final = f"particles_iter{raw['maxIter']:06d}.csv"
+    for name in ("run_record.csv", final, "config_resolved.yaml"):
+        assert (out / name).is_file(), name
     counts = result["trace"]["counts"]
     # Only the median heuristic of the automatic bandwidth (a: auto) computes
     # raw distances, and only the methods that read the schedule build it;

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-import evi_mmd.cli
+import evi_mmd.runner
 from evi_mmd import config_from_dict, run_experiment
 from evi_mmd.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, main
 from evi_mmd.errors import NumericalFailureError
@@ -120,6 +120,21 @@ class TestRunCommand:
         assert drawn == []
         assert not (tmp_path / "out" / "run_record.csv").exists()
 
+    @pytest.mark.parametrize("method", ["evi_mmd", "explicit_mmd"])
+    def test_auto_scale_with_one_particle_is_config_error(self, tmp_path, capsys, method):
+        # a: auto is a median distance between the initial particles.
+        cfg_path = write_cfg(tmp_path, method=method, N=1)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: N: must be >= 2 when a is auto")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [{"a": 1.0}, {"method": "svgd"}])
+    def test_one_particle_runs_without_an_auto_scale(self, tmp_path, overrides):
+        cfg_path = write_cfg(tmp_path, N=1, maxIter=2, snapshot_iters=[], **overrides)
+        assert main(["run", str(cfg_path)]) == 0
+        snap = read_particles_csv(str(tmp_path / "out" / "particles_iter000002.csv"))
+        assert snap.positions.shape == (1, 2)
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = write_cfg(tmp_path, N=-1)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
@@ -197,6 +212,24 @@ class TestNumericalFailure:
         assert main(["run", str(cfg_path)]) == EXIT_NUMERICAL
         assert (tmp_path / "out" / "run_record.csv").exists()
 
+    def test_failed_library_run_leaves_its_files(self, tmp_path):
+        # The underflowing svgd run above, started without the CLI: the echo,
+        # the snapshot it reached and the partial record are all on disk.
+        out = tmp_path / "lib"
+        raw = {
+            "method": "svgd", "target": "gaussian", "target_d": 1, "target_sigma": 0.05,
+            "N": 5, "maxIter": 6, "eta0": 5.0, "bandwidth": 0.5, "metrics_stride": 1,
+            "seed": 3, "n_reference": 100, "snapshot_iters": [1, 2], "out_dir": str(out),
+        }
+        with pytest.raises(NumericalFailureError, match="iteration 2") as failure:
+            run_experiment(config_from_dict(raw))
+        record_path = out / "run_record.csv"
+        assert failure.value.partial_record_path == str(record_path)
+        assert [r.n for r in read_run_record_csv(str(record_path)).rows] == [1]
+        assert read_particles_csv(str(out / "particles_iter000001.csv")).iteration == 1
+        assert not (out / "particles_iter000002.csv").exists()
+        assert (out / "config_resolved.yaml").exists()
+
     @staticmethod
     def _fail_after_two_rows(monkeypatch):
         rows = tuple(
@@ -212,12 +245,12 @@ class TestNumericalFailure:
             for n in (1, 2)
         )
 
-        def failing_run(cfg):
+        def failing_run(*args, **kwargs):
             raise NumericalFailureError(
                 "inner solve failed at outer iteration 3", partial_record=RunRecord(rows)
             )
 
-        monkeypatch.setattr(evi_mmd.cli, "run_experiment", failing_run)
+        monkeypatch.setattr(evi_mmd.runner, "evi_mmd_run", failing_run)
         return RunRecord(rows)
 
     def test_partial_record_written(self, tmp_path, monkeypatch, capsys):
@@ -227,18 +260,20 @@ class TestNumericalFailure:
         path = tmp_path / "out" / "run_record.csv"
         assert read_run_record_csv(str(path)) == expected
         err = capsys.readouterr().err
+        assert "numerical failure: inner solve failed at outer iteration 3" in err
         assert f"partial run record written to {path}" in err
 
     def test_partial_record_write_failure_is_reported(self, tmp_path, monkeypatch, capsys):
         self._fail_after_two_rows(monkeypatch)
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("occupied")
-        cfg_path = write_cfg(tmp_path, out_dir=str(blocker))
+        blocker = tmp_path / "out" / "run_record.csv"
+        blocker.mkdir(parents=True)
+        cfg_path = write_cfg(tmp_path)
         assert main(["run", str(cfg_path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
+        assert "numerical failure: inner solve failed at outer iteration 3" in err
         assert "could not write partial run record: " in err
         assert "partial run record written" not in err
-        assert blocker.read_text() == "occupied"
+        assert blocker.is_dir() and list(blocker.iterdir()) == []
 
 
 class TestSampleTargetCommand:
