@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .metrics import energy_distance, mmd2_two_sample
+from .metrics import RunEvaluator
 from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig
 from .runner import make_density_target, run_experiment
 
@@ -101,12 +101,11 @@ def _cmd_sample_target(args) -> int:
     )
     if args.d is not None:
         raw["target_d"] = args.d
+    n = check_value("N", "n", args.n)
     cfg = config_from_dict(raw)
     target = make_density_target(cfg)
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1", field="n")
     rng = np.random.default_rng(cfg.seed)
-    samples = target.exact_sampler(rng, args.n)
+    samples = target.exact_sampler(rng, n)
     io_csv.write_dataset_csv(samples, args.out)
     return EXIT_OK
 
@@ -118,8 +117,9 @@ def _cmd_metrics(args) -> int:
         kernel = KernelConfig.gaussian(args.h)
     else:
         kernel = KernelConfig.negative_euclidean()
-    print("mmd2=%.17g" % mmd2_two_sample(x, y, kernel))
-    print("energy_distance=%.17g" % energy_distance(x, y))
+    mmd2, energy = RunEvaluator(y, kernel).evaluate(x)
+    print("mmd2=%.17g" % mmd2)
+    print("energy_distance=%.17g" % energy)
     return EXIT_OK
 
 

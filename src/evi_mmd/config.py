@@ -4,10 +4,11 @@ Each ExperimentConfig field carries its check and, where it differs from the
 field name, its config-file key, so validation is one pass over the fields:
 unknown keys are rejected (with a close-match suggestion), fields without a
 default are required, and positive reals must be finite.  Defaults follow the
-recommended tuning ledger: the proximal ratio defaults to the problem
-dimension, the schedule scale to the median pairwise distance of the initial
-particles ("auto"), the floor b to 0.1, and the decay c to 0.5.  Only
-``SCHEDULE_METHODS`` read (and check) the bandwidth schedule a, b, c.
+recommended tuning ledger: the proximal ratio defaults to the target
+dimension, set when the run builds the target, the schedule scale to the
+median pairwise distance of the initial particles ("auto"), the floor b to
+0.1, and the decay c to 0.5.  Only ``SCHEDULE_METHODS`` read (and check) the
+bandwidth schedule a, b, c.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ DENSITY_TARGETS = ("star", "eight", "wave", "gaussian")
 TARGETS = DENSITY_TARGETS + ("csv",)
 _DENSITY_ONLY_METHODS = ("svgd", "lmc")
 SCHEDULE_METHODS = ("evi_mmd", "explicit_mmd")
-
-# Built-in 2-d toys; the gaussian target takes its dimension from target_d
-# and csv targets resolve dimension at load time.
-_TOY_DIM = {"star": 2, "eight": 2, "wave": 2}
 
 
 def _as_int(key: str, value) -> int:
@@ -110,8 +107,9 @@ def _field(check, default=MISSING, key: Optional[str] = None):
 class ExperimentConfig:
     """Resolved experiment description.
 
-    ``tau_star`` may be None only for csv targets, whose dimension (and hence
-    the default ratio) is unknown until the dataset is loaded.
+    An unset ``tau_star`` stays None here: the run sets it to the dimension
+    of the target it builds (:func:`evi_mmd.runner.run_experiment`) and
+    records that value in the config echo.
     """
 
     method: str = _field(_one_of(METHODS))
@@ -140,15 +138,6 @@ class ExperimentConfig:
     target_sigma: float = _field(_as_positive_float, 1.0)
     target_csv: Optional[str] = _field(_as_str, None)
     strict_deterministic: bool = _field(_as_bool, False)
-
-    @property
-    def dim(self) -> Optional[int]:
-        """Target dimension when derivable without touching data files."""
-        if self.target in _TOY_DIM:
-            return _TOY_DIM[self.target]
-        if self.target == "gaussian":
-            return self.target_d
-        return None
 
     @property
     def empirical(self) -> bool:
@@ -207,8 +196,6 @@ def _resolve(out: dict) -> ExperimentConfig:
 
     if "metrics_stride" not in out:
         cfg = replace(cfg, metrics_stride=100 if cfg.method in ("svgd", "lmc") else 1)
-    if cfg.tau_star is None and cfg.dim is not None:
-        cfg = replace(cfg, tau_star=float(cfg.dim))
     if cfg.a == "auto" and cfg.method in SCHEDULE_METHODS and cfg.N < 2:
         # The automatic scale is a median distance between initial particles.
         raise ConfigError(f"must be >= 2 when a is auto, got {cfg.N}", field="N")

@@ -43,12 +43,14 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _check_matrix, _check_sample, cross_gram, gram, weighted_differences
+from .kernels import _check_sample, cross_gram, gram, weighted_differences
 from .model import (
     GAUSSIAN,
     DensityTarget,
     EmpiricalTarget,
     KernelConfig,
+    _check_array,
+    _check_count,
     _check_positive,
     _frozen_array,
     _shifted_probes,
@@ -67,11 +69,8 @@ class McNoise:
 
     @classmethod
     def draw(cls, rng: np.random.Generator, n_samples: int, dim: int) -> "McNoise":
-        if n_samples < 1 or dim < 1:
-            raise InvalidArgumentError(
-                f"noise shape must be positive, got ({n_samples}, {dim})"
-            )
-        return cls(xi=rng.standard_normal((n_samples, dim)))
+        shape = (_check_count(n_samples, "n_samples"), _check_count(dim, "dim"))
+        return cls(xi=rng.standard_normal(shape))
 
     @property
     def n_samples(self) -> int:
@@ -90,7 +89,7 @@ def gaussian_normalizer(dim: int, h: float) -> float:
 
 def square_term(particles, kernel: KernelConfig) -> float:
     """Particle-particle double sum (1/N^2) sum_ij K(x_i, x_j)."""
-    particles = _check_matrix(particles, "particles")
+    particles = _check_array(particles, "particles", 2)
     n = particles.shape[0]
     return float(gram(particles, kernel).sum()) / (n * n)
 
@@ -107,7 +106,7 @@ def cross_term_density(
     particles, target: DensityTarget, h: float, noise: McNoise
 ) -> float:
     """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l)."""
-    particles = _check_matrix(particles, "particles")
+    particles = _check_array(particles, "particles", 2)
     h = _check_positive(h, "bandwidth")
     probes = _density_probes(particles, h, noise)
     vals = np.asarray(target.density(probes), dtype=float)
@@ -117,7 +116,7 @@ def cross_term_density(
 
 def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
     """Data cross term (1/L) sum_i sum_j K(x_i, y_j) over the mini-batch."""
-    particles = _check_matrix(particles, "particles")
+    particles = _check_array(particles, "particles", 2)
     batch = _check_sample(batch, "mini-batch")
     return float(cross_gram(particles, batch, kernel).sum()) / batch.shape[0]
 
@@ -173,7 +172,7 @@ def density_closures(
     offsets = h * noise.xi
 
     def value(x: np.ndarray) -> float:
-        x = _check_matrix(x, "particles")
+        x = _check_array(x, "particles", 2)
         cross = cross_term_density(x, target, h, noise)
         return -2.0 / x.shape[0] * cross + square_term(x, kernel)
 
@@ -200,7 +199,7 @@ def empirical_closures(
     m = batch.shape[0]
 
     def value(x: np.ndarray) -> float:
-        x = _check_matrix(x, "particles")
+        x = _check_array(x, "particles", 2)
         cross = cross_term_empirical(x, batch, kernel)
         return -2.0 / x.shape[0] * cross + square_term(x, kernel)
 
@@ -254,6 +253,6 @@ def grad_free_energy(
 ) -> np.ndarray:
     """Gradient of :func:`free_energy` with respect to the particle matrix,
     from the branch's value+gradient closure."""
-    particles = _check_matrix(particles, "particles")
+    particles = _check_array(particles, "particles", 2)
     _, value_and_grad = _closures(target, kernel, noise, batch)
     return value_and_grad(particles)[1]

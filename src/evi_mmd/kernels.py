@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_positive
+from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_array, _check_positive
 
 # Rows of ``a`` per chunk; bounds the scratch buffer at chunk * M floats.
 _CHUNK = 256
@@ -40,36 +40,18 @@ _EXP_FAST_MIN = -708.0
 _EXP_ZERO_BELOW = -750.0
 
 
-def _check_vector(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidArgumentError(f"{name} must be a 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return x
-
-
-def _check_matrix(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidArgumentError(f"{name} must be a 2-d matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return x
-
-
 def _check_sample(x, name: str) -> np.ndarray:
-    """:func:`_check_matrix` for a sample, which must also be nonempty."""
-    x = np.asarray(x, dtype=float)
+    """A finite rank-2 array (:func:`_check_array`) that is also nonempty."""
+    x = _check_array(x, name, 2)
     if x.size == 0:
         raise InvalidArgumentError(f"{name} must be nonempty")
-    return _check_matrix(x, name)
+    return x
 
 
 def gauss_eval(x, y, h) -> float:
     """Gaussian kernel exp(-|x - y|^2 / (2 h^2)); value in (0, 1]."""
-    x = _check_vector(x, "x")
-    y = _check_vector(y, "y")
+    x = _check_array(x, "x", 1)
+    y = _check_array(y, "y", 1)
     h = _check_positive(h, "bandwidth")
     sq = float(np.sum((x - y) ** 2))
     return float(np.exp(-sq / (2.0 * h * h)))
@@ -78,8 +60,8 @@ def gauss_eval(x, y, h) -> float:
 def gauss_grad_x(x, y, h) -> np.ndarray:
     """Gradient of the Gaussian kernel in its first argument:
     -(x - y) / h^2 * exp(-|x - y|^2 / (2 h^2))."""
-    x = _check_vector(x, "x")
-    y = _check_vector(y, "y")
+    x = _check_array(x, "x", 1)
+    y = _check_array(y, "y", 1)
     h = _check_positive(h, "bandwidth")
     diff = x - y
     val = np.exp(-float(np.sum(diff**2)) / (2.0 * h * h))
@@ -88,8 +70,8 @@ def gauss_grad_x(x, y, h) -> np.ndarray:
 
 def neg_euclid_eval(x, y) -> float:
     """Energy-distance generator -|x - y|_2 (non-positive, 0 iff x == y)."""
-    x = _check_vector(x, "x")
-    y = _check_vector(y, "y")
+    x = _check_array(x, "x", 1)
+    y = _check_array(y, "y", 1)
     sq = float(np.sum((x - y) ** 2))
     return -float(np.sqrt(max(sq, 0.0)))
 
@@ -202,7 +184,7 @@ _GRAM_DIAGONAL = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: 0.0}
 def gram(points, kernel: KernelConfig) -> np.ndarray:
     """Full kernel matrix K[i, j] = K(x_i, x_j); exactly symmetric, and the
     Gaussian case has a unit diagonal."""
-    points = _check_matrix(points, "points")
+    points = _check_array(points, "points", 2)
     out = _kernel_from_squared(squared_distances(points, points), kernel)
     np.fill_diagonal(out, _GRAM_DIAGONAL[kernel.kind])
     return out
@@ -211,7 +193,7 @@ def gram(points, kernel: KernelConfig) -> np.ndarray:
 def cross_gram(a, b, kernel: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix C[i, j] = K(a_i, b_j)."""
     # squared_distances rejects a dimension mismatch
-    sq = squared_distances(_check_matrix(a, "a"), _check_matrix(b, "b"))
+    sq = squared_distances(_check_array(a, "a", 2), _check_array(b, "b", 2))
     return _kernel_from_squared(sq, kernel)
 
 

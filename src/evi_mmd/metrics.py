@@ -155,7 +155,6 @@ class RunEvaluator:
 
     def __init__(self, reference, kernel: KernelConfig):
         self.reference = _check_sample(reference, "reference")
-        self.kernel = kernel
         self._kernels = (kernel, _ENERGY_KERNEL)
         self._yy = _kernel_means(self.reference, None, self._kernels)
 

@@ -3,11 +3,16 @@
 All types are immutable value objects: arrays are copied on construction and
 marked read-only, and invariant violations raise
 :class:`~evi_mmd.errors.InvalidArgumentError` rather than being clamped.
+
+Counts, finite arrays and positive reals pass :func:`_check_count`,
+:func:`_check_array` and :func:`_check_positive` throughout the package; a
+checked field keeps the value its check returns, an ``int`` or a ``float``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -20,17 +25,36 @@ NEGATIVE_EUCLIDEAN = "negative_euclidean"
 _KERNEL_KINDS = (GAUSSIAN, NEGATIVE_EUCLIDEAN)
 
 
-def _frozen_array(values, name: str, ndim: int, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only float array of the given rank."""
-    arr = np.array(values, dtype=dtype)
+def _check_array(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a float array (a copy only when they are not one), once
+    it has rank ``ndim`` and only finite entries."""
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
-        raise InvalidArgumentError(
-            f"{name} must be a rank-{ndim} array, got rank {arr.ndim}"
-        )
+        raise InvalidArgumentError(f"{name} must be a rank-{ndim} array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only copy of ``values`` once :func:`_check_array` accepts it."""
+    arr = _check_array(np.array(values, dtype=float), name, ndim)
     arr.setflags(write=False)
     return arr
+
+
+def _check_count(value, name: str, minimum: int = 1, maximum: Optional[int] = None) -> int:
+    """``value`` as an int, once it is a number (not a bool) with an integral
+    value in [minimum, maximum] (no upper bound when ``maximum`` is None)."""
+    try:
+        count = int(value) if isinstance(value, Real) and not isinstance(value, bool) else None
+    except (ValueError, OverflowError):  # NaN and the infinities
+        count = None
+    upper = count if maximum is None else maximum
+    if count is None or count != value or not minimum <= count <= upper:
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise InvalidArgumentError(f"{name} must be an integer {bounds}, got {value!r}")
+    return count
 
 
 def _check_positive(value, name: str, *, allow_zero: bool = False) -> float:
@@ -56,15 +80,9 @@ class ParticleSet:
     def __post_init__(self):
         pos = _frozen_array(self.positions, "positions", ndim=2)
         if pos.shape[0] < 1 or pos.shape[1] < 1:
-            raise InvalidArgumentError(
-                f"positions must be at least 1x1, got {pos.shape}"
-            )
+            raise InvalidArgumentError(f"positions must be at least 1x1, got {pos.shape}")
         object.__setattr__(self, "positions", pos)
-        if int(self.iteration) != self.iteration or self.iteration < 0:
-            raise InvalidArgumentError(
-                f"iteration must be a non-negative integer, got {self.iteration!r}"
-            )
-        object.__setattr__(self, "iteration", int(self.iteration))
+        object.__setattr__(self, "iteration", _check_count(self.iteration, "iteration", 0))
 
     @property
     def n_particles(self) -> int:
@@ -195,12 +213,8 @@ class EmpiricalTarget:
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidArgumentError(f"data must be at least 1x1, got {data.shape}")
         object.__setattr__(self, "data", data)
-        size = self.minibatch_size
-        if int(size) != size or not 1 <= size <= data.shape[0]:
-            raise InvalidArgumentError(
-                f"minibatch_size must be an integer in [1, {data.shape[0]}], got {size!r}"
-            )
-        object.__setattr__(self, "minibatch_size", int(size))
+        size = _check_count(self.minibatch_size, "minibatch_size", maximum=data.shape[0])
+        object.__setattr__(self, "minibatch_size", size)
 
     @property
     def n_rows(self) -> int:
@@ -280,20 +294,15 @@ class SolverConfig:
     lbfgs_grad_tol: float = 1e-6
 
     def __post_init__(self):
-        _check_positive(self.tau_star, "tau_star")
-        if int(self.mc_samples) != self.mc_samples or self.mc_samples < 1:
-            raise InvalidArgumentError(f"mc_samples must be >= 1, got {self.mc_samples!r}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.lbfgs_memory < 1:
-            raise InvalidArgumentError(f"lbfgs_memory must be >= 1, got {self.lbfgs_memory!r}")
-        if self.lbfgs_max_inner < 1:
-            raise InvalidArgumentError(
-                f"lbfgs_max_inner must be >= 1, got {self.lbfgs_max_inner!r}"
-            )
-        _check_positive(self.lbfgs_grad_tol, "lbfgs_grad_tol")
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        for name, check in (
+            ("tau_star", _check_positive),
+            ("mc_samples", _check_count),
+            ("max_iter", _check_count),
+            ("lbfgs_memory", _check_count),
+            ("lbfgs_max_inner", _check_count),
+            ("lbfgs_grad_tol", _check_positive),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -342,6 +351,7 @@ def uniform_box_init(
     """Draw initial particles uniformly from a box."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    n_particles = _check_count(n_particles, "n_particles")
     return rng.uniform(lower, upper, size=(n_particles, lower.shape[0]))
 
 

@@ -40,6 +40,7 @@ from .model import (
     ParticleSet,
     RunRecord,
     SolverConfig,
+    _check_count,
 )
 
 # Line-search constants: standard robust defaults (contraction 1/2,
@@ -52,9 +53,7 @@ _LS_MIN_STEP = 1e-14
 
 def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     """Bandwidth a / n^c + b at outer iteration n >= 1."""
-    if int(n) != n or n < 1:
-        raise InvalidArgumentError(f"iteration index must be >= 1, got {n!r}")
-    return schedule.a / float(n) ** schedule.c + schedule.b
+    return schedule.a / float(_check_count(n, "n")) ** schedule.c + schedule.b
 
 
 def check_schedule(schedule: BandwidthSchedule, max_iter: int) -> BandwidthSchedule:
@@ -313,6 +312,8 @@ def run_loop(
     and the rows so far.
     With zero iterations the initial particles are returned unchanged.
     """
+    max_iter = _check_count(max_iter, "max_iter", 0)
+    record_stride = _check_count(record_stride, "record_stride")
     particles = np.array(init, dtype=float)
     recorded = particles
     rows: List[IterationRow] = []

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import DensityTarget, _check_positive, _check_shifts, _frozen_array
+from .model import DensityTarget, _check_count, _check_positive, _check_shifts, _frozen_array
 
 _WEIGHT_TOL = 1e-12
 # Probe rows per pass of the mixture sweep: the pass's (d, rows) scratch
@@ -54,9 +54,7 @@ class GaussianMixture:
     def __post_init__(self):
         w = _frozen_array(self.weights, "weights", ndim=1)
         mu = _frozen_array(self.means, "means", ndim=2)
-        cov = np.array(self.covariances, dtype=float)
-        if cov.ndim != 3:
-            raise InvalidArgumentError(f"covariances must be K x d x d, got {cov.shape}")
+        cov = _frozen_array(self.covariances, "covariances", ndim=3)
         k, d = mu.shape
         if w.shape[0] != k or cov.shape != (k, d, d):
             raise InvalidArgumentError(
@@ -73,7 +71,6 @@ class GaussianMixture:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise InvalidArgumentError("covariances must be positive definite") from exc
-        cov.setflags(write=False)
         object.__setattr__(self, "covariances", cov)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
@@ -180,10 +177,9 @@ class GaussianMixture:
 def mixture_sampler(target: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws: categorical component choice, then a Cholesky transform
     of standard normals.  Deterministic given the generator state."""
-    if int(n) != n or n < 1:
-        raise InvalidArgumentError(f"sample count must be >= 1, got {n!r}")
-    comp = rng.choice(target.n_components, size=int(n), p=target.weights)
-    z = rng.standard_normal((int(n), target.dim))
+    n = _check_count(n, "n")
+    comp = rng.choice(target.n_components, size=n, p=target.weights)
+    z = rng.standard_normal((n, target.dim))
     return target.means[comp] + np.einsum("nde,ne->nd", target._chol[comp], z)
 
 
@@ -275,8 +271,9 @@ def _wave_grad(x: np.ndarray) -> np.ndarray:
 def _wave_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
     # The density factorizes as N(x1; 0, 5) * N(x2; sin(pi x1), 1/2) up to
     # the rounded normalizer, so exact sampling is a two-stage draw.
-    x1 = rng.normal(0.0, np.sqrt(5.0), size=int(n))
-    x2 = np.sin(np.pi * x1) + rng.normal(0.0, np.sqrt(0.5), size=int(n))
+    n = _check_count(n, "n")
+    x1 = rng.normal(0.0, np.sqrt(5.0), size=n)
+    x2 = np.sin(np.pi * x1) + rng.normal(0.0, np.sqrt(0.5), size=n)
     return np.stack([x1, x2], axis=1)
 
 
@@ -298,10 +295,8 @@ def wave_density() -> DensityTarget:
 
 def isotropic_gaussian(d: int, sigma: float = 1.0) -> DensityTarget:
     """N(0, sigma^2 I_d) with exact sampler; initialization box [-2, 2]^d."""
-    if int(d) != d or d < 1:
-        raise InvalidArgumentError(f"dimension must be a positive integer, got {d!r}")
+    d = _check_count(d, "d")
     sigma = _check_positive(sigma, "sigma")
-    d = int(d)
     mixture = GaussianMixture(
         weights=np.ones(1),
         means=np.zeros((1, d)),

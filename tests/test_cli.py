@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import evi_mmd.cli
 import evi_mmd.runner
 from evi_mmd import config_from_dict, run_experiment
 from evi_mmd.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, main
@@ -312,6 +313,19 @@ class TestSampleTargetCommand:
         assert err.startswith("config error: seed: must fit in an unsigned 64-bit integer")
         assert not out.exists()
 
+    def test_zero_samples_is_config_error_before_the_target_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(cfg):
+            raise AssertionError("the target was built")
+
+        monkeypatch.setattr(evi_mmd.cli, "make_density_target", unreachable)
+        out = tmp_path / "z.csv"
+        code = main(["sample-target", "eight", "--n", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: n: must be >= 1, got 0\n"
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_prints_both_discrepancies(self, tmp_path, capsys):
@@ -325,13 +339,9 @@ class TestMetricsCommand:
         write_dataset_csv(y, str(yp))
         code = main(["metrics", "--x", str(xp), "--y", str(yp), "--kernel", "gaussian", "--h", "0.5"])
         assert code == 0
-        out = capsys.readouterr().out
-        lines = dict(line.split("=") for line in out.strip().splitlines())
-        assert float(lines["mmd2"]) == pytest.approx(
-            mmd2_two_sample(x, y, KernelConfig.gaussian(0.5)), rel=1e-12
-        )
-        assert float(lines["energy_distance"]) == pytest.approx(
-            energy_distance(x, y), rel=1e-12
+        assert capsys.readouterr().out == "mmd2=%.17g\nenergy_distance=%.17g\n" % (
+            mmd2_two_sample(x, y, KernelConfig.gaussian(0.5)),
+            energy_distance(x, y),
         )
 
     def test_accepts_particle_snapshots(self, tmp_path, capsys):

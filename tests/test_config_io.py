@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import evi_mmd.io
 from evi_mmd import (
@@ -15,6 +16,7 @@ from evi_mmd import (
     RunRecord,
     config_from_dict,
     load_config,
+    run_experiment,
 )
 from evi_mmd.config import config_to_dict, dump_config
 from evi_mmd.io import (
@@ -28,6 +30,7 @@ from evi_mmd.io import (
     write_particles,
     write_run_record,
 )
+from evi_mmd.runner import CONFIG_ECHO_FILE
 
 ROOT = Path(__file__).resolve().parent.parent
 MINIMAL = {"method": "evi_mmd", "target": "eight", "N": 200, "maxIter": 5000, "c": 0.5}
@@ -37,14 +40,22 @@ POSITIVE_REAL_KEYS = [
 ]
 
 
+def echo_of_one_iteration_run(raw: dict, out_dir) -> dict:
+    """The config echo that a one-iteration, four-particle run of ``raw`` writes."""
+    short = dict(N=4, maxIter=1, L=5, n_reference=5, snapshot_iters=[1], out_dir=str(out_dir))
+    run_experiment(config_from_dict(dict(raw, **short)))
+    return yaml.safe_load((Path(out_dir) / CONFIG_ECHO_FILE).read_text())
+
+
 class TestConfigParsing:
-    def test_minimal_config_fills_recommended_defaults(self):
+    def test_minimal_config_fills_recommended_defaults(self, tmp_path):
         cfg = config_from_dict(dict(MINIMAL))
         assert cfg.b == 0.1
-        assert cfg.tau_star == 2.0  # dimension of the 2-d toy
+        assert cfg.tau_star is None  # the run sets it from the built target
         assert cfg.a == "auto"
         assert cfg.c == 0.5
         assert cfg.metrics_stride == 1
+        assert echo_of_one_iteration_run(MINIMAL, tmp_path)["tau_star"] == 2.0  # the 2-d toy
 
     def test_negative_n_names_the_field(self):
         raw = dict(MINIMAL, N=-5)
@@ -88,13 +99,13 @@ class TestConfigParsing:
         raw = dict(MINIMAL, method="lmc")
         assert config_from_dict(raw).metrics_stride == 100
 
-    def test_gaussian_target_requires_dimension(self):
+    def test_gaussian_target_requires_dimension(self, tmp_path):
         raw = dict(MINIMAL, target="gaussian")
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert err.value.field == "target_d"
         raw["target_d"] = 6
-        assert config_from_dict(raw).tau_star == 6.0
+        assert echo_of_one_iteration_run(raw, tmp_path)["tau_star"] == 6.0
 
     def test_energy_distance_requires_two_sample(self):
         raw = dict(MINIMAL, method="energy_distance")
@@ -108,11 +119,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
-    def test_csv_target_forces_two_sample_and_defers_tau(self):
+    def test_csv_target_forces_two_sample(self):
         raw = dict(MINIMAL, target="csv", target_csv="data.csv")
         cfg = config_from_dict(raw)
         assert cfg.empirical and cfg.two_sample
-        assert cfg.tau_star is None
 
     def test_minibatch_exceeding_generated_size_rejected(self):
         raw = dict(MINIMAL, two_sample=True, M=100, L=500)
@@ -167,8 +177,6 @@ class TestConfigParsing:
             config_from_dict(raw)
 
     def test_load_config_file_and_echo_roundtrip(self, tmp_path):
-        import yaml
-
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(MINIMAL))
         cfg = load_config(str(path))
@@ -192,7 +200,8 @@ class TestConfigParsing:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Config file", 1)[1]
         block = section.split("```yaml", 1)[1].split("```", 1)[0]
-        keys = config_to_dict(config_from_dict(dict(MINIMAL, target_csv="x.csv", target_d=2)))
+        raw = dict(MINIMAL, target_csv="x.csv", target_d=2, tau_star=2.0)
+        keys = config_to_dict(config_from_dict(raw))
         assert len(keys) == len(fields(ExperimentConfig))
         missing = [k for k in keys if not re.search(rf"(?<!\w){re.escape(k)}:", block)]
         assert missing == []

@@ -1,8 +1,11 @@
-"""Every top-level import in the package is read somewhere in its module.
+"""AST scans of the package in place of a linter.
 
-An AST scan in place of a linter: an import whose bound name is never loaded
-and not re-exported through ``__all__`` fails, unless its line carries
-``# noqa: F401`` (an import kept for code outside the module to find by name).
+* Every top-level import is read somewhere in its module: an import whose
+  bound name is never loaded and not re-exported through ``__all__`` fails,
+  unless its line carries ``# noqa: F401`` (an import kept for code outside
+  the module to find by name).
+* No code checks a count by hand, that is, compares ``int(v)`` with ``v``:
+  ``model._check_count`` is the one count check.
 """
 
 import ast
@@ -60,3 +63,29 @@ def test_no_unused_top_level_imports(module):
         if name not in used
     ]
     assert not unused, f"{module}: unused imports {unused}"
+
+
+def hand_written_count_checks(tree):
+    """Line numbers of comparisons between ``int(v)`` and ``v``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        dumped = {ast.dump(operand) for operand in operands}
+        if any(
+            isinstance(operand, ast.Call)
+            and isinstance(operand.func, ast.Name)
+            and operand.func.id == "int"
+            and len(operand.args) == 1
+            and ast.dump(operand.args[0]) in dumped
+            for operand in operands
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_counts_are_checked_only_by_check_count(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    lines = list(hand_written_count_checks(tree))
+    assert not lines, f"{module}: compares int(v) with v at lines {lines}; use model._check_count"

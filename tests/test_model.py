@@ -9,14 +9,24 @@ from evi_mmd import (
     BandwidthSchedule,
     DensityTarget,
     EmpiricalTarget,
+    GaussianMixture,
     InvalidArgumentError,
     IterationRow,
     KernelConfig,
+    McNoise,
     ParticleSet,
     RunRecord,
     SolverConfig,
+    bandwidth_at,
+    eight_mixture,
+    evi_mmd_run,
+    initial_particles,
+    isotropic_gaussian,
+    mixture_sampler,
+    wave_density,
 )
-from evi_mmd.model import data_bounding_box, initial_particles
+from evi_mmd.model import data_bounding_box
+from evi_mmd.solver import run_loop
 
 
 def _row(n, **overrides):
@@ -225,6 +235,92 @@ class TestSolverConfig:
         params.update(kwargs)
         with pytest.raises(InvalidArgumentError):
             SolverConfig(**params)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+_MIXTURE = GaussianMixture(weights=np.ones(1), means=np.zeros((1, 2)), covariances=np.eye(2)[None])
+
+# Every count the value objects and run functions check: (field named in the
+# error, its minimum, a call that passes the value to that field).
+COUNT_SITES = {
+    "ParticleSet.iteration": ("iteration", 0, lambda v: ParticleSet(np.zeros((1, 1)), v)),
+    "EmpiricalTarget.minibatch_size": (
+        "minibatch_size", 1, lambda v: EmpiricalTarget(np.zeros((4, 2)), minibatch_size=v)
+    ),
+    **{
+        f"SolverConfig.{name}": (name, 1, lambda v, name=name: SolverConfig(1, **{name: v}))
+        for name in ("mc_samples", "max_iter", "lbfgs_memory", "lbfgs_max_inner")
+    },
+    "bandwidth_at": ("n", 1, lambda v: bandwidth_at(BandwidthSchedule(1.0, 0.1, 0.5), v)),
+    "mixture_sampler": ("n", 1, lambda v: mixture_sampler(_MIXTURE, v, _rng())),
+    "wave sampler": ("n", 1, lambda v: wave_density().exact_sampler(_rng(), v)),
+    "isotropic_gaussian": ("d", 1, lambda v: isotropic_gaussian(v)),
+    "McNoise.draw n_samples": ("n_samples", 1, lambda v: McNoise.draw(_rng(), v, 2)),
+    "McNoise.draw dim": ("dim", 1, lambda v: McNoise.draw(_rng(), 2, v)),
+    "initial_particles": ("n_particles", 1, lambda v: initial_particles(eight_mixture(), v, _rng())),
+    "run_loop max_iter": ("max_iter", 0, lambda v: run_loop(np.zeros((1, 1)), v, None)),
+    "run_loop record_stride": (
+        "record_stride", 1, lambda v: run_loop(np.zeros((1, 1)), 1, None, record_stride=v)
+    ),
+}
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2.5", "below", "string"])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_rejects_a_bad_count_naming_the_field(self, site, bad):
+        name, minimum, call = COUNT_SITES[site]
+        value = {
+            "nan": float("nan"), "inf": float("inf"), "2.5": 2.5,
+            "below": minimum - 1, "string": "3",
+        }[bad]
+        with pytest.raises(InvalidArgumentError) as err:
+            call(value)
+        assert str(err.value).startswith(f"{name} must be an integer ")
+
+    def test_minibatch_size_above_the_row_count_names_the_field(self):
+        with pytest.raises(InvalidArgumentError, match=r"^minibatch_size .* in \[1, 4\], got 5$"):
+            EmpiricalTarget(np.zeros((4, 2)), minibatch_size=5)
+
+    def test_an_integral_float_comes_back_as_an_int(self):
+        cfg = SolverConfig(tau_star=1, mc_samples=3.0)
+        assert cfg.mc_samples == 3 and type(cfg.mc_samples) is int
+        counts = [
+            SolverConfig(1, max_iter=np.float64(4.0)).max_iter,
+            SolverConfig(1, lbfgs_memory=5.0).lbfgs_memory,
+            SolverConfig(1, lbfgs_max_inner=np.int64(6)).lbfgs_max_inner,
+            ParticleSet(np.zeros((1, 1)), iteration=7.0).iteration,
+            EmpiricalTarget(np.zeros((8, 1)), minibatch_size=np.float32(8.0)).minibatch_size,
+        ]
+        assert counts == [4, 5, 6, 7, 8]
+        assert all(type(count) is int for count in counts)
+
+    def test_bools_are_not_counts(self):
+        with pytest.raises(InvalidArgumentError, match="^mc_samples "):
+            SolverConfig(1, mc_samples=True)
+
+
+class TestSolverConfigStoresCheckedValues:
+    def test_positive_reals_are_python_floats(self):
+        cfg = SolverConfig(tau_star=np.float32(2.0), lbfgs_grad_tol=np.float32(1e-6))
+        assert type(cfg.tau_star) is float and cfg.tau_star == 2.0
+        assert type(cfg.lbfgs_grad_tol) is float
+        assert type(SolverConfig(tau_star=1).tau_star) is float
+
+    def test_a_float32_ratio_runs_as_its_float(self):
+        target = eight_mixture()
+        init = initial_particles(target, 20, np.random.default_rng(5))
+        schedule = BandwidthSchedule(a=2.0, b=0.1, c=0.5)
+
+        def run(tau_star):
+            config = SolverConfig(tau_star=tau_star, mc_samples=50, max_iter=2)
+            final, _ = evi_mmd_run(target, schedule, config, np.random.default_rng(6), init)
+            return final.positions.tobytes()
+
+        assert run(np.float32(2.0)) == run(2.0)
 
 
 class TestRunRecord:

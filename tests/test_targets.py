@@ -110,6 +110,12 @@ class TestGaussianMixtureType:
         with pytest.raises(InvalidArgumentError):
             GaussianMixture(weights=[1.0], means=np.zeros((1, 2)), covariances=cov)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_covariance(self, entry):
+        cov = np.array([[[1.0, entry], [entry, 1.0]]])
+        with pytest.raises(InvalidArgumentError, match="^covariances contains non-finite entries$"):
+            GaussianMixture(weights=[1.0], means=np.zeros((1, 2)), covariances=cov)
+
     def test_rejects_indefinite_covariance(self):
         cov = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3, -1
         with pytest.raises(InvalidArgumentError):
