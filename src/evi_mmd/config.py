@@ -2,8 +2,11 @@
 
 Each ExperimentConfig field carries its check and, where it differs from the
 field name, its config-file key, so validation is one pass over the fields:
-unknown keys are rejected (with a close-match suggestion), fields without a
-default are required, and positive reals must be finite.  Defaults follow the
+unknown keys are rejected (with a close-match suggestion) and fields without
+a default are required.  Counts and positive reals go through the library's
+own checks, :func:`~evi_mmd.model._check_count` and
+:func:`~evi_mmd.model._check_positive`, and :func:`check_value` turns every
+rejected value into a :class:`ConfigError` naming its key.  Defaults follow the
 recommended tuning ledger: the proximal ratio defaults to the target
 dimension, set when the run builds the target, the schedule scale to the
 median pairwise distance of the initial particles ("auto"), the floor b to
@@ -14,14 +17,14 @@ bandwidth schedule a, b, c.
 from __future__ import annotations
 
 import difflib
-import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from typing import Optional, Tuple, Union
 
 import yaml
 
 from .errors import ConfigError, InvalidArgumentError
-from .model import BandwidthSchedule
+from .model import BandwidthSchedule, _check_count, _check_positive
 from .solver import check_schedule
 
 METHODS = ("evi_mmd", "explicit_mmd", "energy_distance", "svgd", "lmc")
@@ -31,75 +34,43 @@ _DENSITY_ONLY_METHODS = ("svgd", "lmc")
 SCHEDULE_METHODS = ("evi_mmd", "explicit_mmd")
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", field=key)
-    return value
+def _or(special, check):
+    """``check`` that also lets ``special`` through."""
+    return lambda value, name: value if value == special else check(value, name)
 
 
-def _as_positive_int(key: str, value) -> int:
-    v = _as_int(key, value)
-    if v < 1:
-        raise ConfigError(f"must be >= 1, got {v}", field=key)
-    return v
-
-
-def _as_seed(key: str, value) -> int:
-    seed = _as_int(key, value)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"must fit in an unsigned 64-bit integer, got {seed}", field=key)
-    return seed
-
-
-def _as_positive_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", field=key)
-    # Also rejects ints too large for a float.
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"must be finite, got {value}", field=key)
-    v = float(value)
-    if not v > 0:
-        raise ConfigError(f"must be > 0, got {v}", field=key)
-    return v
-
-
-def _as_positive_float_or(special):
-    """A positive-real check that also lets ``special`` through."""
-    return lambda key, value: value if value == special else _as_positive_float(key, value)
-
-
-def _as_bool(key: str, value) -> bool:
+def _as_bool(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"expected true/false, got {value!r}", field=key)
+        raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _as_str(key: str, value) -> str:
+def _as_str(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"expected a string, got {value!r}", field=key)
+        raise InvalidArgumentError(f"{name} must be a string, got {value!r}")
     return value
 
 
 def _one_of(choices: Tuple[str, ...]):
-    def check(key: str, value) -> str:
-        if _as_str(key, value) not in choices:
-            raise ConfigError(f"must be one of {choices}, got {value!r}", field=key)
+    def check(value, name: str) -> str:
+        if _as_str(value, name) not in choices:
+            raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
         return value
 
     return check
 
 
-def _as_iterations(key: str, value) -> Tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in value
-    ):
-        raise ConfigError(f"expected a list of integers >= 1, got {value!r}", field=key)
-    return tuple(value)
+def _as_iterations(value, name: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidArgumentError(f"{name} must be a list of integers >= 1, got {value!r}")
+    return tuple(_check_count(i, f"{name} entry") for i in value)
 
 
 def _field(check, default=MISSING, key: Optional[str] = None):
-    """A config field checked by ``check(key, value)``, whose errors name the
-    config-file ``key`` (given only where it differs from the field name)."""
+    """A config field checked by ``check(value, key)``, which raises
+    :class:`InvalidArgumentError` as the model's checks do; its errors name
+    the config-file ``key`` (given only where it differs from the field
+    name)."""
     return field(default=default, metadata={"check": check, "key": key})
 
 
@@ -114,28 +85,28 @@ class ExperimentConfig:
 
     method: str = _field(_one_of(METHODS))
     target: str = _field(_one_of(TARGETS))
-    N: int = _field(_as_positive_int)
-    max_iter: int = _field(_as_positive_int, key="maxIter")
-    L: int = _field(_as_positive_int, 100)
-    tau_star: Optional[float] = _field(_as_positive_float_or(None), None)
-    a: Union[str, float] = _field(_as_positive_float_or("auto"), "auto")
-    b: float = _field(_as_positive_float, 0.1)
-    c: float = _field(_as_positive_float, 0.5)
-    eta0: float = _field(_as_positive_float, 0.1)
-    bandwidth: float = _field(_as_positive_float, 0.1)
-    lmc_a: float = _field(_as_positive_float, 0.1)
-    lmc_b: float = _field(_as_positive_float, 1.0)
-    lmc_c: float = _field(_as_positive_float, 0.55)
-    seed: int = _field(_as_seed, 0)
+    N: int = _field(_check_count)
+    max_iter: int = _field(_check_count, key="maxIter")
+    L: int = _field(_check_count, 100)
+    tau_star: Optional[float] = _field(_or(None, _check_positive), None)
+    a: Union[str, float] = _field(_or("auto", _check_positive), "auto")
+    b: float = _field(_check_positive, 0.1)
+    c: float = _field(_check_positive, 0.5)
+    eta0: float = _field(_check_positive, 0.1)
+    bandwidth: float = _field(_check_positive, 0.1)
+    lmc_a: float = _field(_check_positive, 0.1)
+    lmc_b: float = _field(_check_positive, 1.0)
+    lmc_c: float = _field(_check_positive, 0.55)
+    seed: int = _field(partial(_check_count, minimum=0, maximum=2**64 - 1), 0)
     out_dir: str = _field(_as_str, "runs")
-    metrics_stride: int = _field(_as_positive_int, 1)
-    n_reference: int = _field(_as_positive_int, 2000)
-    eval_bandwidth: float = _field(_as_positive_float, 0.5)
+    metrics_stride: int = _field(_check_count, 1)
+    n_reference: int = _field(_check_count, 2000)
+    eval_bandwidth: float = _field(_check_positive, 0.5)
     snapshot_iters: Tuple[int, ...] = _field(_as_iterations, (50, 500))
     two_sample: bool = _field(_as_bool, False)
-    M: int = _field(_as_positive_int, 10000)
-    target_d: Optional[int] = _field(_as_positive_int, None)
-    target_sigma: float = _field(_as_positive_float, 1.0)
+    M: int = _field(_check_count, 10000)
+    target_d: Optional[int] = _field(_check_count, None)
+    target_sigma: float = _field(_check_positive, 1.0)
     target_csv: Optional[str] = _field(_as_str, None)
     strict_deterministic: bool = _field(_as_bool, False)
 
@@ -149,8 +120,12 @@ _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
 
 
 def check_value(name: str, key: str, value):
-    """``value`` through field ``name``'s check, its errors naming ``key``."""
-    return ExperimentConfig.__dataclass_fields__[name].metadata["check"](key, value)
+    """``value`` through field ``name``'s check; a rejected value raises a
+    :class:`ConfigError` naming ``key``."""
+    try:
+        return ExperimentConfig.__dataclass_fields__[name].metadata["check"](value, key)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc).removeprefix(f"{key} "), field=key) from None
 
 
 def _validate_raw(raw: dict) -> dict:
@@ -163,7 +138,7 @@ def _validate_raw(raw: dict) -> dict:
     out = {}
     for key, f in _FIELDS.items():
         if key in raw:
-            out[f.name] = f.metadata["check"](key, raw[key])
+            out[f.name] = check_value(f.name, key, raw[key])
         elif f.default is MISSING:
             raise ConfigError("required key is missing", field=key)
     return out

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _check_sample, cross_gram, gram, weighted_differences
+from .kernels import cross_gram, gram, weighted_differences
 from .model import (
     GAUSSIAN,
     DensityTarget,
@@ -52,6 +52,7 @@ from .model import (
     _check_array,
     _check_count,
     _check_positive,
+    _check_sample,
     _frozen_array,
     _shifted_probes,
 )

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DatasetError, InvalidArgumentError
-from .model import EmpiricalTarget, IterationRow, ParticleSet, RunRecord
+from .model import EmpiricalTarget, IterationRow, ParticleSet, RunRecord, _check_sample
 
 Columns = Tuple[Tuple[str, type], ...]
 
@@ -156,9 +156,7 @@ def load_dataset_csv(path: str, minibatch_size: int | None = None) -> EmpiricalT
 
 def write_dataset_csv(data: np.ndarray, path: str) -> None:
     """Write samples in the dataset schema (the sample-target output format)."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 1:
-        raise InvalidArgumentError(f"data must be 2-d with a column, got shape {data.shape}")
+    data = _check_sample(data, "data")
     _write_table(path, _dims(data.shape[1]), data.tolist())
 
 

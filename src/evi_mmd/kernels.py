@@ -40,14 +40,6 @@ _EXP_FAST_MIN = -708.0
 _EXP_ZERO_BELOW = -750.0
 
 
-def _check_sample(x, name: str) -> np.ndarray:
-    """A finite rank-2 array (:func:`_check_array`) that is also nonempty."""
-    x = _check_array(x, name, 2)
-    if x.size == 0:
-        raise InvalidArgumentError(f"{name} must be nonempty")
-    return x
-
-
 def gauss_eval(x, y, h) -> float:
     """Gaussian kernel exp(-|x - y|^2 / (2 h^2)); value in (0, 1]."""
     x = _check_array(x, "x", 1)

@@ -28,12 +28,11 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .kernels import (
     _GRAM_DIAGONAL,
-    _check_sample,
     _kernel_from_squared,
     _squared_distances_into,
     pairwise_distances,
 )
-from .model import KernelConfig
+from .model import KernelConfig, _check_sample
 
 _ENERGY_KERNEL = KernelConfig.negative_euclidean()
 
@@ -133,9 +132,7 @@ def mode_occupancy(particles, means) -> np.ndarray:
     Ties go to the lowest mean index; the fractions sum to one.
     """
     particles = _check_sample(particles, "particles")
-    means = np.asarray(means, dtype=float)
-    if means.ndim != 2 or means.shape[0] < 1:
-        raise InvalidArgumentError(f"means must be K x d with K >= 1, got {means.shape}")
+    means = _check_sample(means, "means")
     dist = pairwise_distances(particles, means)
     nearest = np.argmin(dist, axis=1)  # argmin takes the lowest index on ties
     counts = np.bincount(nearest, minlength=means.shape[0])
@@ -157,14 +154,6 @@ class RunEvaluator:
         self.reference = _check_sample(reference, "reference")
         self._kernels = (kernel, _ENERGY_KERNEL)
         self._yy = _kernel_means(self.reference, None, self._kernels)
-
-    def mmd2(self, particles) -> float:
-        particles = _check_sample(particles, "particles")
-        return _mmd2(particles, self.reference, self._kernels[:1], self._yy[:1])[0]
-
-    def energy_distance(self, particles) -> float:
-        particles = _check_sample(particles, "particles")
-        return _mmd2(particles, self.reference, self._kernels[1:], self._yy[1:])[0]
 
     def evaluate(self, particles) -> Tuple[float, float]:
         particles = _check_sample(particles, "particles")

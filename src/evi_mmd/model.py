@@ -4,13 +4,15 @@ All types are immutable value objects: arrays are copied on construction and
 marked read-only, and invariant violations raise
 :class:`~evi_mmd.errors.InvalidArgumentError` rather than being clamped.
 
-Counts, finite arrays and positive reals pass :func:`_check_count`,
-:func:`_check_array` and :func:`_check_positive` throughout the package; a
-checked field keeps the value its check returns, an ``int`` or a ``float``.
+Counts, finite arrays, nonempty matrices and positive reals pass
+:func:`_check_count`, :func:`_check_array`, :func:`_check_sample` and
+:func:`_check_positive` throughout the package and the config file; a checked
+field keeps the value its check returns, an ``int``, a ``float`` or an array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, Optional, Tuple
@@ -36,9 +38,21 @@ def _check_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_sample(values, name: str) -> np.ndarray:
+    """A rank-2 array that :func:`_check_array` accepts and that has at least
+    one row and one column."""
+    arr = _check_array(values, name, 2)
+    if arr.size == 0:
+        raise InvalidArgumentError(f"{name} must be nonempty, got shape {arr.shape}")
+    return arr
+
+
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
-    """A read-only copy of ``values`` once :func:`_check_array` accepts it."""
-    arr = _check_array(np.array(values, dtype=float), name, ndim)
+    """A read-only copy of ``values`` once :func:`_check_array` accepts it;
+    every matrix a value object holds is a sample, checked by
+    :func:`_check_sample`."""
+    arr = np.array(values, dtype=float)
+    arr = _check_sample(arr, name) if ndim == 2 else _check_array(arr, name, ndim)
     arr.setflags(write=False)
     return arr
 
@@ -58,12 +72,16 @@ def _check_count(value, name: str, minimum: int = 1, maximum: Optional[int] = No
 
 
 def _check_positive(value, name: str, *, allow_zero: bool = False) -> float:
-    """``value`` as a float, once finite and > 0 (>= 0 with ``allow_zero``)."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+    """``value`` as a float, once it is a real number (not a bool) that is
+    finite and > 0 (>= 0 with ``allow_zero``)."""
+    try:
+        real = float(value) if isinstance(value, Real) and not isinstance(value, bool) else None
+    except OverflowError:  # an int too large for a float
+        real = None
+    if real is None or not math.isfinite(real) or real < 0 or (real == 0 and not allow_zero):
         bound = ">=" if allow_zero else ">"
-        raise InvalidArgumentError(f"{name} must be {bound} 0, got {value!r}")
-    return value
+        raise InvalidArgumentError(f"{name} must be a finite real {bound} 0, got {value!r}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,7 @@ class ParticleSet:
     iteration: int = 0
 
     def __post_init__(self):
-        pos = _frozen_array(self.positions, "positions", ndim=2)
-        if pos.shape[0] < 1 or pos.shape[1] < 1:
-            raise InvalidArgumentError(f"positions must be at least 1x1, got {pos.shape}")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _frozen_array(self.positions, "positions", ndim=2))
         object.__setattr__(self, "iteration", _check_count(self.iteration, "iteration", 0))
 
     @property
@@ -210,8 +225,6 @@ class EmpiricalTarget:
 
     def __post_init__(self):
         data = _frozen_array(self.data, "data", ndim=2)
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise InvalidArgumentError(f"data must be at least 1x1, got {data.shape}")
         object.__setattr__(self, "data", data)
         size = _check_count(self.minibatch_size, "minibatch_size", maximum=data.shape[0])
         object.__setattr__(self, "minibatch_size", size)
@@ -240,12 +253,11 @@ class KernelConfig:
                 f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}"
             )
         if self.kind == GAUSSIAN:
+            h = _check_positive(self.bandwidth, "bandwidth")
             # h^2 divides every exponent and gradient: it must not underflow.
-            h = float(self.bandwidth)
-            if not np.isfinite(h) or h <= 0 or h * h < np.finfo(float).tiny:
+            if h * h < np.finfo(float).tiny:
                 raise InvalidArgumentError(
-                    "Gaussian kernel requires bandwidth > 0 whose square is a normal float, "
-                    f"got {self.bandwidth!r}"
+                    f"bandwidth must have a square that is a normal float, got {h!r}"
                 )
             object.__setattr__(self, "bandwidth", h)
 
@@ -256,10 +268,6 @@ class KernelConfig:
     @classmethod
     def negative_euclidean(cls) -> "KernelConfig":
         return cls(kind=NEGATIVE_EUCLIDEAN)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind == GAUSSIAN
 
 
 @dataclass(frozen=True)

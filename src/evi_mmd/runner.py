@@ -76,12 +76,7 @@ def build_targets(
     Returns (target for the run, density for sampling or None).
     """
     if cfg.target == "csv":
-        loaded = io_csv.load_dataset_csv(cfg.target_csv)
-        if cfg.L > loaded.n_rows:
-            raise InvalidArgumentError(
-                f"mini-batch L={cfg.L} exceeds the {loaded.n_rows} rows of {cfg.target_csv}"
-            )
-        return EmpiricalTarget(loaded.data, minibatch_size=cfg.L), None
+        return io_csv.load_dataset_csv(cfg.target_csv, minibatch_size=cfg.L), None
 
     density = make_density_target(cfg)
     if not cfg.two_sample:

@@ -41,6 +41,8 @@ from .model import (
     RunRecord,
     SolverConfig,
     _check_count,
+    _check_positive,
+    _check_sample,
 )
 
 # Line-search constants: standard robust defaults (contraction 1/2,
@@ -99,8 +101,7 @@ def proximal_objective(
         raise InvalidArgumentError(
             f"candidate shape {candidate.shape} != anchor shape {anchor.shape}"
         )
-    if tau_star <= 0:
-        raise InvalidArgumentError(f"tau_star must be > 0, got {tau_star!r}")
+    tau_star = _check_positive(tau_star, "tau_star")
     n = candidate.shape[0]
     f, grad = value_and_grad_fn(candidate)
     diff = candidate - anchor
@@ -352,14 +353,12 @@ def run_loop(
 
 
 def check_run_inputs(init_particles, target, kinds: tuple) -> np.ndarray:
-    """The initial particles as a float array, once they are a finite N x d
-    matrix with N >= 1 and ``target`` is an instance of one of ``kinds`` with
-    dimension d.
+    """The initial particles as a float array, once they are a finite,
+    nonempty N x d matrix (:func:`_check_sample`) and ``target`` is an
+    instance of one of ``kinds`` with dimension d.
 
     Every run function starts with this check."""
-    init = np.array(init_particles, dtype=float)
-    if init.ndim != 2 or init.shape[0] < 1 or not np.all(np.isfinite(init)):
-        raise InvalidArgumentError("init_particles must be a finite N x d matrix with N >= 1")
+    init = _check_sample(init_particles, "init_particles")
     if not isinstance(target, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise InvalidArgumentError(f"target must be of type {names}, got {type(target).__name__}")

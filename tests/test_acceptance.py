@@ -273,7 +273,7 @@ class TestCriterion7:
 
     def test_svgd_decreases_discrepancy(self, eight_run):
         target = em.eight_mixture()
-        init_mmd2 = eight_run.evaluator.mmd2(eight_run.init)
+        init_mmd2 = eight_run.evaluator.evaluate(eight_run.init)[0]
         svgd_final, _ = em.svgd_run(
             target,
             bandwidth=0.1,
@@ -281,7 +281,7 @@ class TestCriterion7:
             max_iter=5000,
             init_particles=eight_run.init,
         )
-        final_mmd2 = eight_run.evaluator.mmd2(svgd_final.positions)
+        final_mmd2 = eight_run.evaluator.evaluate(svgd_final.positions)[0]
         report(
             7,
             final_mmd2 < init_mmd2,

@@ -515,17 +515,21 @@ class TestRunInputCheck:
     def test_nan_in_init(self, method, make_target):
         init = np.zeros((4, 3))
         init[1, 2] = np.nan
-        with pytest.raises(InvalidArgumentError, match="init_particles must be a finite"):
+        with pytest.raises(InvalidArgumentError, match="^init_particles contains non-finite"):
             RUNS[method](make_target(), init)
 
     @pytest.mark.parametrize("method,make_target", ACCEPTED, ids=ACCEPTED_IDS)
     def test_empty_init(self, method, make_target):
-        with pytest.raises(InvalidArgumentError, match="N >= 1"):
+        with pytest.raises(
+            InvalidArgumentError, match=r"^init_particles must be nonempty, got shape \(0, 3\)$"
+        ):
             RUNS[method](make_target(), np.zeros((0, 3)))
 
     @pytest.mark.parametrize("method", list(RUNS))
     def test_init_not_a_matrix(self, method):
-        with pytest.raises(InvalidArgumentError, match="init_particles must be a finite N x d"):
+        with pytest.raises(
+            InvalidArgumentError, match=r"^init_particles must be a rank-2 array, got shape \(3,\)"
+        ):
             RUNS[method](isotropic_gaussian(3), np.zeros(3))
 
     @pytest.mark.parametrize(

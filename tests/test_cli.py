@@ -80,7 +80,9 @@ class TestRunCommand:
         cfg_path = write_cfg(tmp_path)
         monkeypatch.setenv("EVI_MMD_SEED", seed)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-        assert "EVI_MMD_SEED: must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: EVI_MMD_SEED: must be an integer in [0, {2**64 - 1}], got {seed}\n"
+        )
 
     def test_underflowing_svgd_bandwidth_is_config_error(self, tmp_path):
         cfg_path = write_cfg(tmp_path, method="svgd", bandwidth=1e-200, maxIter=2)
@@ -194,6 +196,19 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         record = read_run_record_csv(str(tmp_path / "out" / "run_record.csv"))
         assert len(record) == 6
+
+    def test_csv_minibatch_above_the_row_count_is_config_error(self, tmp_path, capsys):
+        data_path = tmp_path / "train.csv"
+        from evi_mmd.io import write_dataset_csv
+
+        write_dataset_csv(np.random.default_rng(0).normal(size=(10, 2)), str(data_path))
+        cfg_path = write_cfg(
+            tmp_path, method="energy_distance", target="csv", target_csv=str(data_path), L=11
+        )
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "invalid argument: minibatch_size must be an integer in [1, 10], got 11\n"
+        assert not (tmp_path / "out" / "run_record.csv").exists()
 
 
 class TestNumericalFailure:
@@ -310,7 +325,7 @@ class TestSampleTargetCommand:
         code = main(["sample-target", "eight", "--n", "3", "--seed", seed, "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: seed: must fit in an unsigned 64-bit integer")
+        assert err == f"config error: seed: must be an integer in [0, {2**64 - 1}], got {seed}\n"
         assert not out.exists()
 
     def test_zero_samples_is_config_error_before_the_target_is_built(
@@ -323,7 +338,7 @@ class TestSampleTargetCommand:
         out = tmp_path / "z.csv"
         code = main(["sample-target", "eight", "--n", "0", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: n: must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "config error: n: must be an integer >= 1, got 0\n"
         assert not out.exists()
 
 

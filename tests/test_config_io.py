@@ -11,6 +11,7 @@ from evi_mmd import (
     ConfigError,
     DatasetError,
     ExperimentConfig,
+    InvalidArgumentError,
     IterationRow,
     ParticleSet,
     RunRecord,
@@ -152,12 +153,20 @@ class TestConfigParsing:
         cfg = config_from_dict(dict(MINIMAL, a=1e-200, b=1e-200, **overrides))
         assert (cfg.a, cfg.b) == (1e-200, 1e-200)
 
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
-    @pytest.mark.parametrize("key", POSITIVE_REAL_KEYS)
-    def test_non_finite_positive_real_names_its_key(self, key, value):
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            (key, value)
+            for key in POSITIVE_REAL_KEYS
+            for value in (True, "2.0", None, 10**400, float("nan"), float("inf"), float("-inf"), 0)
+            if not (key == "tau_star" and value is None)  # null leaves the ratio unset
+        ],
+    )
+    def test_bad_positive_real_names_its_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             config_from_dict(dict(MINIMAL, **{key: value}))
         assert err.value.field == key
+        assert str(err.value).startswith(f"{key}: must be a finite real > 0, got ")
 
     def test_non_finite_floor_is_blamed_on_the_floor(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -165,11 +174,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert err.value.field == "b"
-        assert str(err.value) == "b: must be finite, got inf"
+        assert str(err.value) == "b: must be a finite real > 0, got inf"
 
     def test_schedule_with_a_normal_last_square_accepted(self):
         cfg = config_from_dict(dict(MINIMAL, a=1e-150, b=1e-150))
         assert (cfg.a, cfg.b) == (1e-150, 1e-150)
+
+    def test_an_integral_count_loads_as_an_int(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "method: evi_mmd\ntarget: eight\nN: 2.0\nmaxIter: 5\nseed: 3.0\n"
+            "snapshot_iters: [1.0, 5]\n"
+        )
+        cfg = load_config(str(path))
+        assert (cfg.N, cfg.seed, cfg.snapshot_iters) == (2, 3, (1, 5))
+        assert all(type(v) is int for v in (cfg.N, cfg.seed, *cfg.snapshot_iters))
+
+    @pytest.mark.parametrize("entry", [0, 2.5, True, "5"])
+    def test_bad_snapshot_iteration_names_the_key(self, entry):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(dict(MINIMAL, snapshot_iters=[50, entry]))
+        assert err.value.field == "snapshot_iters"
+        assert str(err.value) == f"snapshot_iters: entry must be an integer >= 1, got {entry!r}"
 
     def test_bool_is_not_an_int(self):
         raw = dict(MINIMAL, N=True)
@@ -242,6 +268,19 @@ class TestDatasetCsv:
         path.write_text("dim_0\ninf\n")
         with pytest.raises(DatasetError):
             load_dataset_csv(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_writer_rejects_non_finite_rows(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        with pytest.raises(InvalidArgumentError, match="^data contains non-finite entries$"):
+            write_dataset_csv(np.array([[0.0, 1.0], [bad, 2.0]]), str(path))
+        assert not path.exists()
+
+    def test_writer_rejects_an_empty_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(InvalidArgumentError, match=r"^data must be nonempty"):
+            write_dataset_csv(np.zeros((0, 2)), str(path))
+        assert not path.exists()
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

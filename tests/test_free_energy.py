@@ -102,6 +102,11 @@ class TestCrossTermDensity:
         with pytest.raises(InvalidArgumentError):
             cross_term_density(np.zeros((1, 2)), target, 1.0, noise)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_noise_is_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError, match=r"^xi must be nonempty"):
+            McNoise(np.zeros(shape))
+
 
 class TestCrossTermEmpirical:
     def test_single_matching_point(self):

@@ -6,6 +6,10 @@
   the module to find by name).
 * No code checks a count by hand, that is, compares ``int(v)`` with ``v``:
   ``model._check_count`` is the one count check.
+* No code outside ``model.py`` tests by hand whether a value is a number,
+  that is, combines ``isinstance(v, bool)`` with ``isinstance(v, int)``,
+  ``float`` or ``Real`` in one boolean expression: ``model._check_count``
+  and ``model._check_positive`` are the number checks.
 """
 
 import ast
@@ -89,3 +93,54 @@ def test_counts_are_checked_only_by_check_count(module):
         tree = ast.parse(fh.read())
     lines = list(hand_written_count_checks(tree))
     assert not lines, f"{module}: compares int(v) with v at lines {lines}; use model._check_count"
+
+
+NUMBER_TYPES = {"int", "float", "Real"}
+
+
+def isinstance_types(node):
+    """The names in the type argument of ``isinstance(v, types)`` or
+    ``not isinstance(v, types)``; empty for any other expression."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        node = node.operand
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return set()
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node.args[1])
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def hand_written_number_checks(tree):
+    """Line numbers of boolean expressions that test a value against
+    ``bool`` and against a number type."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp):
+            tested = [isinstance_types(value) for value in node.values]
+            if any("bool" in types for types in tested) and any(
+                types & NUMBER_TYPES for types in tested
+            ):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "model.py"])
+def test_numbers_are_checked_only_in_model(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    lines = list(hand_written_number_checks(tree))
+    assert not lines, (
+        f"{module}: tests bool and a number type by hand at lines {lines}; "
+        "use model._check_count or model._check_positive"
+    )
+
+
+def test_number_check_scan_sees_the_model_checks():
+    with open(os.path.join(PACKAGE, "model.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert len(list(hand_written_number_checks(tree))) == 2

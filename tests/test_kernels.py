@@ -16,6 +16,7 @@ from evi_mmd.kernels import (
     squared_distances,
     weighted_differences,
 )
+from evi_mmd.model import GAUSSIAN
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -140,7 +141,7 @@ class TestGramMatrices:
         got = gram(pts, kernel)
         for i in range(3):
             for j in range(3):
-                if kernel.is_gaussian:
+                if kernel.kind == GAUSSIAN:
                     expect = gauss_eval(pts[i], pts[j], kernel.bandwidth)
                 else:
                     expect = neg_euclid_eval(pts[i], pts[j])

@@ -13,19 +13,27 @@ from evi_mmd import (
     InvalidArgumentError,
     IterationRow,
     KernelConfig,
+    LmcSchedule,
     McNoise,
     ParticleSet,
     RunRecord,
     SolverConfig,
     bandwidth_at,
+    cross_term_density,
     eight_mixture,
     evi_mmd_run,
+    explicit_euler_mmd_run,
+    gauss_eval,
+    gauss_grad_x,
     initial_particles,
     isotropic_gaussian,
+    lmc_run,
     mixture_sampler,
+    proximal_objective,
+    svgd_run,
     wave_density,
 )
-from evi_mmd.model import data_bounding_box
+from evi_mmd.model import GAUSSIAN, data_bounding_box
 from evi_mmd.solver import run_loop
 
 
@@ -180,7 +188,7 @@ class TestKernelConfig:
 
     def test_negative_euclidean_ignores_bandwidth(self):
         k = KernelConfig(kind="negative_euclidean", bandwidth=-5.0)
-        assert not k.is_gaussian
+        assert k.kind != GAUSSIAN
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -301,6 +309,104 @@ class TestCountChecks:
     def test_bools_are_not_counts(self):
         with pytest.raises(InvalidArgumentError, match="^mc_samples "):
             SolverConfig(1, mc_samples=True)
+
+
+def _never_called(x):
+    raise AssertionError("the check should have rejected the argument first")
+
+
+_X0 = np.zeros((2, 1))
+_SCHEDULE = BandwidthSchedule(1.0, 0.1, 0.5)
+
+# Every positive real the value objects and library functions check: (field
+# named in the error, whether 0 is allowed, a call that passes the value to
+# that field).
+POSITIVE_SITES = {
+    **{
+        f"SolverConfig.{name}": (
+            name, False, lambda v, name=name: SolverConfig(**{"tau_star": 1, name: v})
+        )
+        for name in ("tau_star", "lbfgs_grad_tol")
+    },
+    **{
+        f"BandwidthSchedule.{name}": (
+            f"schedule parameter {name}",
+            False,
+            lambda v, name=name: BandwidthSchedule(**{"a": 1.0, "b": 0.1, "c": 0.5, name: v}),
+        )
+        for name in "abc"
+    },
+    **{
+        f"LmcSchedule.{name}": (
+            name,
+            False,
+            lambda v, name=name: LmcSchedule(
+                **{"a_lmc": 0.1, "b_lmc": 1.0, "c_lmc": 0.55, name: v}
+            ),
+        )
+        for name in ("a_lmc", "b_lmc", "c_lmc")
+    },
+    "KernelConfig.gaussian": ("bandwidth", False, KernelConfig.gaussian),
+    "gauss_eval": ("bandwidth", False, lambda v: gauss_eval(np.zeros(1), np.ones(1), v)),
+    "gauss_grad_x": ("bandwidth", False, lambda v: gauss_grad_x(np.zeros(1), np.ones(1), v)),
+    "cross_term_density": (
+        "bandwidth",
+        False,
+        lambda v: cross_term_density(_X0, isotropic_gaussian(1), v, McNoise.draw(_rng(), 2, 1)),
+    ),
+    "isotropic_gaussian": ("sigma", False, lambda v: isotropic_gaussian(2, v)),
+    "explicit_euler_mmd_run": (
+        "eta0",
+        False,
+        lambda v: explicit_euler_mmd_run(isotropic_gaussian(1), _SCHEDULE, v, 1, _rng(), _X0),
+    ),
+    "svgd_run eta0": ("eta0", True, lambda v: svgd_run(isotropic_gaussian(1), 0.5, v, 1, _X0)),
+    "svgd_run bandwidth": (
+        "bandwidth", False, lambda v: svgd_run(isotropic_gaussian(1), v, 0.1, 1, _X0)
+    ),
+    "lmc_run": (
+        "noise_scale",
+        True,
+        lambda v: lmc_run(
+            isotropic_gaussian(1), LmcSchedule(0.1, 1.0, 0.55), 1, _rng(), _X0, noise_scale=v
+        ),
+    ),
+    "proximal_objective": (
+        "tau_star", False, lambda v: proximal_objective(_X0, _X0, v, _never_called)
+    ),
+}
+
+# Values no positive-real field accepts; "zero" is -1 where 0 is allowed.
+BAD_REALS = {
+    "bool": True,
+    "string": "2.0",
+    "none": None,
+    "huge int": 10**400,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "zero": 0,
+}
+
+
+class TestPositiveChecks:
+    @pytest.mark.parametrize("bad", BAD_REALS)
+    @pytest.mark.parametrize("site", POSITIVE_SITES)
+    def test_rejects_a_bad_real_naming_the_field(self, site, bad):
+        name, allow_zero, call = POSITIVE_SITES[site]
+        value = -1.0 if bad == "zero" and allow_zero else BAD_REALS[bad]
+        with pytest.raises(InvalidArgumentError) as err:
+            call(value)
+        assert str(err.value).startswith(f"{name} must be a finite real ")
+
+    def test_a_numpy_real_comes_back_as_a_python_float(self):
+        checked = [
+            BandwidthSchedule(np.float32(0.5), np.int64(1), 0.5).a,
+            BandwidthSchedule(np.float32(0.5), np.int64(1), 0.5).b,
+            KernelConfig.gaussian(np.float64(0.25)).bandwidth,
+            LmcSchedule(np.int32(1), 1.0, 0.55).a_lmc,
+        ]
+        assert checked == [0.5, 1.0, 0.25, 1.0]
+        assert all(type(value) is float for value in checked)
 
 
 class TestSolverConfigStoresCheckedValues:

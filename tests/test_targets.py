@@ -116,6 +116,11 @@ class TestGaussianMixtureType:
         with pytest.raises(InvalidArgumentError, match="^covariances contains non-finite entries$"):
             GaussianMixture(weights=[1.0], means=np.zeros((1, 2)), covariances=cov)
 
+    @pytest.mark.parametrize("k,d", [(0, 2), (1, 0)])
+    def test_rejects_empty_means(self, k, d):
+        with pytest.raises(InvalidArgumentError, match=r"^means must be nonempty"):
+            GaussianMixture(np.ones(k), np.zeros((k, d)), np.zeros((k, d, d)))
+
     def test_rejects_indefinite_covariance(self):
         cov = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3, -1
         with pytest.raises(InvalidArgumentError):
