@@ -15,10 +15,12 @@ of :func:`density_closures` / :func:`empirical_closures`; the solver calls it
 once per trial point.  It builds each kernel matrix once and, on the density
 branch, makes one call of the target's ``shifted_density_and_grad`` with the
 offsets h * xi: the density at the N·L probes x_i + h xi_l and each
-particle's gradient summed over l.  Mixture targets sweep the probes without
-building them; other targets fall back to ``density_and_grad`` on the probe
-matrix (:class:`evi_mmd.model.DensityTarget`), with the same bytes.  The
-value-only ops (:func:`square_term`, :func:`cross_term_density`,
+particle's gradient summed over l.  Mixture targets take it from two matrix
+products per component without building the probes, so the closure's value
+and gradient match the probe matrix's only within the bound stated on
+:class:`evi_mmd.targets.GaussianMixture`; other targets fall back to
+``density_and_grad`` on the probe matrix (:class:`evi_mmd.model.DensityTarget`).
+The value-only ops (:func:`square_term`, :func:`cross_term_density`,
 :func:`cross_term_empirical`, and :func:`free_energy` built from them) are
 kept apart as the reference the gradient is tested against and for recording
 objective values; :func:`grad_free_energy` delegates to the branch's

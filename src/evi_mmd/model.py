@@ -126,7 +126,8 @@ class DensityTarget:
     i-major order, and the (N, d) sums over l of their gradients.  When it is
     not given it builds the (N·L, d) probe matrix, calls ``density_and_grad``
     on it and sums the gradients with ``reshape(N, L, d).sum(axis=1)``; a
-    given one must agree with that (the mixtures' returns the same bytes).
+    given one must agree with that (the mixtures' within the bound stated on
+    :class:`evi_mmd.targets.GaussianMixture`).
     Both reject offsets that are not L x d with L >= 1 and particles whose d
     is not the target's.
     """

@@ -3,6 +3,10 @@
 The three 2-d toys (a star-shaped five-component mixture, an eight-component
 ring mixture, and a wave-shaped density) plus an isotropic Gaussian of any
 dimension.  Densities and gradients are batched: (n, d) in, (n,) / (n, d) out.
+A mixture evaluates points with plain ufunc arithmetic and the N·L probes of
+the density-branch cross term with two matrix products per component, which
+agree with the point evaluation within a declared bound
+(:class:`GaussianMixture`).
 """
 
 from __future__ import annotations
@@ -13,13 +17,19 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .kernels import _EXP_FAST_MIN
 from .model import DensityTarget, _check_count, _check_positive, _check_shifts, _frozen_array
 
 _WEIGHT_TOL = 1e-12
-# Probe rows per pass of the mixture sweep: the pass's (d, rows) scratch
-# buffers then stay in a core's L2 cache.  On a 2 MiB-L2 Xeon, 100k 2-d probes
-# swept at once ran about twice as slow as in 8192-row passes.
+# Points per pass of the point sweep: the pass's (d, rows) scratch buffers
+# then stay in a core's L2 cache.  On a 2 MiB-L2 Xeon, 100k 2-d points swept
+# at once ran about twice as slow as in 8192-row passes.
 _SWEEP_ROWS = 8192
+# Bytes of one (rows, L) exponent block of the shifted sweep: its scratch and
+# output rows then stay in a core's L2 cache, and its scratch does not grow
+# with N·L.  At N = 200, L = 500 on a 2 MiB-L2 Xeon, 256 KiB blocks swept the
+# eight mixture in about 3.1 ms, 1 MiB blocks (all 200 rows) in 4.6 ms.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -30,21 +40,26 @@ class GaussianMixture:
     is symmetric positive definite; precomputed inverses, Cholesky factors,
     and normalizing constants make batched evaluation cheap.
 
-    Densities and gradients are summed over components in component order,
-    and every sum over coordinates runs in coordinate order from the j = 0
-    term, with plain ufunc arithmetic (no einsum, no BLAS).  At d <= 2 the
-    results are bit-identical to the einsum formula ``pulled =
-    einsum("nd,de->ne", x - mean, inv)``, ``quad = einsum("nd,nd->n", x -
-    mean, pulled)``; at d >= 3 einsum groups those sums differently, and the
-    two agree to rtol 1e-13 (``tests/test_targets.py``).
+    Point evaluations (:meth:`density`, :meth:`grad_density`,
+    :meth:`density_and_grad`) sum over components in component order, and
+    every sum over coordinates runs in coordinate order from the j = 0 term,
+    with plain ufunc arithmetic (no einsum, no BLAS).  At d <= 2 the results
+    are bit-identical to the einsum formula ``pulled = einsum("nd,de->ne", x
+    - mean, inv)``, ``quad = einsum("nd,nd->n", x - mean, pulled)``; at d >= 3
+    einsum groups those sums differently, and the two agree to rtol 1e-13
+    (``tests/test_targets.py``).
 
     :meth:`shifted_density_and_grad` is the density-branch cross term's
-    evaluation: it sweeps the probes x_i + o_l of whole particles per pass,
-    built coordinate by coordinate in one reused buffer, and sums each
-    particle's gradients over l inside the pass.  Its output bytes equal
-    :meth:`density_and_grad` on the probe matrix followed by
-    ``reshape(N, L, d).sum(axis=1)``.  Point evaluations run the same
-    passes with the one offset 0.
+    evaluation.  It factors each component's exponent at the probes x_i + o_l
+    into a particle part and an offset part, and takes the exponents and the
+    gradient sums from two BLAS matrix products per component, without
+    building the probes.  It does not return the bytes of
+    :meth:`density_and_grad` on the probe matrix followed by ``reshape(N, L,
+    d).sum(axis=1)``; each density and each gradient sum v agrees with that
+    reference r within |v - r| <= 1e-10 |r| + 1e-11 max|r|, the maximum taken
+    over all densities or over all gradient sums; terms below exp(-708), about
+    3.3e-308, are dropped.  Its bytes do not depend on the memory layout of
+    its inputs or on the BLAS thread count.
     """
 
     weights: np.ndarray
@@ -119,12 +134,20 @@ class GaussianMixture:
         return dens, grad_t
 
     def _at_points(self, x, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
-        # The points are probes with one zero offset: x + 0.0 is x except at
-        # -0.0, which only ever meets zero products.
+        # Each pass hands ``_sweep`` the transposed (d, rows) view, which its
+        # first subtraction copies to coordinate-major scratch.  The gradient
+        # is laid out like ``x``.
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise InvalidArgumentError(f"probes must be n x {self.dim}, got shape {x.shape}")
-        return self._shifted(x, np.zeros((1, self.dim)), with_grad)
+        vals = np.empty(x.shape[0])
+        grads = np.empty_like(x) if with_grad else None
+        for start in range(0, x.shape[0], _SWEEP_ROWS):
+            chunk = slice(start, start + _SWEEP_ROWS)
+            vals[chunk], grad_t = self._sweep(x[chunk].T, with_grad)
+            if with_grad:
+                grads[chunk] = grad_t.T
+        return vals, grads
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._at_points(x, with_grad=False)[0]
@@ -137,38 +160,54 @@ class GaussianMixture:
 
     def shifted_density_and_grad(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
         """Density at the N·L probes x_i + o_l, i-major, and the (N, d) sums
-        over l of their gradients, without an (N·L, d) probe matrix."""
-        x, offsets = _check_shifts(x, offsets, self.dim)
-        return self._shifted(x, offsets, with_grad=True)
+        over l of their gradients, without an (N·L, d) probe matrix.
 
-    def _shifted(self, x, offsets, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
-        # Each pass sweeps the probes of whole particles on a coordinate-major
-        # (d, rows) copy, so every ufunc runs on contiguous rows of one
-        # coordinate.  The gradient sums are laid out like ``x``.
+        With delta = x_i - mu_k and precision P, component k's log-density at
+        a probe is A_ik + B_ik . o_l + C_kl, where B_ik = -delta P, A_ik =
+        -delta P delta / 2 + log norm_k and C_kl = -o_l P o_l / 2, so one
+        product [B | A | 1] @ [O | 1 | C_k]^T gives a row block's exponents.
+        The gradient sums are sum_k (B_ik S_ik - (sum_l comp_ikl o_l) P), and
+        a second product, comp @ [O | 1], gives sum_l comp_ikl o_l and the row
+        sums S_ik.
+        """
+        x, offsets = _check_shifts(x, offsets, self.dim)
         (n, d), n_off = x.shape, offsets.shape[0]
-        per_pass = max(1, _SWEEP_ROWS // n_off)
-        vals = np.empty(n * n_off)
-        grad_sums = np.empty_like(x) if with_grad else None
-        coords = np.empty((d, min(per_pass, n), n_off))
-        for start in range(0, n, per_pass):
-            stop = min(start + per_pass, n)
-            block = coords[:, : stop - start]
-            for j in range(d):
-                np.add.outer(x[start:stop, j], offsets[:, j], out=block[j])
-            dens, grad_t = self._sweep(block.reshape(d, -1), with_grad)
-            vals[start * n_off : stop * n_off] = dens
-            if not with_grad:
-                continue
-            grad_t = grad_t.reshape(block.shape)
-            # The summation order of reshape(N, L, d).sum(axis=1): sequential
-            # over l for d >= 2; at d = 1 numpy drops the unit axis and sums
-            # each contiguous row pairwise.
-            if d == 1:
-                sums = grad_t.sum(axis=-1)
-            else:
-                sums = np.add.accumulate(grad_t, axis=-1)[..., -1]
-            grad_sums[start:stop] = sums.T
-        return vals, grad_sums
+        # A zero-weight component adds exactly 0 and has no log norm.
+        live = np.flatnonzero(self._norm > 0.0)
+        inv = self._inv[live]
+        left = np.empty((live.size, n, d + 2))
+        diff = x - self.means[live][:, None, :]
+        pull = np.negative(diff @ inv, out=left[..., :d])
+        left[..., d] = 0.5 * np.einsum("knd,knd->kn", diff, pull)
+        left[..., d] += np.log(self._norm[live])[:, None]
+        left[..., d + 1] = 1.0
+        right = np.empty((live.size, n_off, d + 2))
+        right[..., :d] = offsets
+        right[..., d] = 1.0
+        right[..., d + 1] = -0.5 * np.einsum("kld,ld->kl", offsets @ inv, offsets)
+        sums = np.empty((live.size, n, d + 1))
+        vals = np.zeros((n, n_off))
+        rows = max(1, _BLOCK_BYTES // (8 * n_off))
+        block = np.empty((min(rows, n), n_off))
+        dropped = np.empty(block.shape, dtype=bool)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            comp, slow = block[: stop - start], dropped[: stop - start]
+            for k in range(live.size):
+                np.matmul(left[k, start:stop], right[k].T, out=comp)
+                # Below _EXP_FAST_MIN np.exp leaves its vector loop, and its
+                # subnormal results there slow the sums: those terms, each
+                # under 3.3e-308, are dropped.
+                np.less(comp, _EXP_FAST_MIN, out=slow)
+                np.copyto(comp, 0.0, where=slow)
+                np.exp(comp, out=comp)
+                np.copyto(comp, 0.0, where=slow)
+                vals[start:stop] += comp
+                np.matmul(comp, right[k, :, : d + 1], out=sums[k, start:stop])
+        grad_sums = np.zeros((n, d))
+        for k in range(live.size):
+            grad_sums += pull[k] * sums[k, :, d:] - sums[k, :, :d] @ inv[k]
+        return vals.reshape(-1), grad_sums
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mixture_sampler(self, n, rng)

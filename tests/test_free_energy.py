@@ -426,9 +426,11 @@ def assert_energy_matches_unit_vectors(x, batch):
 
 class TestOneGradientForm:
     """Every kernel double sum takes its gradient from weighted_differences.
-    Gaussian closures are bitwise equal to the explicit formula; the energy
-    distance matches the unit-vector formula, its value bitwise and its
-    gradient within ENERGY_GRAD_RTOL of the summed terms' size."""
+    The empirical Gaussian closure is bitwise equal to the explicit formula,
+    and the density closure within the mixtures' declared bound on its cross
+    term; the energy distance matches the unit-vector formula, its value
+    bitwise and its gradient within ENERGY_GRAD_RTOL of the summed terms'
+    size."""
 
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_gaussian_empirical_closure_bitwise(self, d):
@@ -443,7 +445,10 @@ class TestOneGradientForm:
         np.testing.assert_array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("d,sigma", [(1, 0.8), (2, 1.0), (3, 0.5)])
-    def test_gaussian_density_closure_bitwise(self, d, sigma):
+    def test_gaussian_density_closure_within_declared_bound(self, d, sigma):
+        # Only the cross term differs: each density r and gradient sum of the
+        # probe matrix may move by 1e-10 |r| + 1e-11 max|r|, times the
+        # closure's factor 2 C_h / (N L), plus a few ulps of the assembly.
         target = isotropic_gaussian(d, sigma)
         rng = np.random.default_rng(target.dim)
         x = rng.normal(size=(25, target.dim))
@@ -452,8 +457,17 @@ class TestOneGradientForm:
         _, vg_fn = density_closures(target, kernel, noise)
         value, grad = vg_fn(x)
         ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
-        assert value == ref_value
-        np.testing.assert_array_equal(grad, ref_grad)
+        vals, grads = target.density_and_grad(_density_probes(x, 0.9, noise))
+        sums = np.abs(grads.reshape(x.shape[0], -1, d).sum(axis=1))
+        vals = np.abs(vals)
+        factor = 2.0 / x.shape[0] * gaussian_normalizer(d, 0.9) / noise.n_samples
+        eps = np.finfo(float).eps
+        value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max())
+        value_bound += 4 * eps * (abs(ref_value) + 2 * factor * vals.sum())
+        grad_bound = factor * (1e-10 * sums + 1e-11 * sums.max())
+        grad_bound += 4 * eps * (np.abs(ref_grad) + 2 * factor * sums)
+        assert abs(value - ref_value) <= value_bound
+        assert np.all(np.abs(grad - ref_grad) <= grad_bound)
 
     @pytest.mark.parametrize("n,m", [(30, 45), (200, 150)])
     @pytest.mark.parametrize("d", [1, 2, 10])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -13,7 +18,7 @@ from evi_mmd import (
     wave_density,
 )
 from evi_mmd.model import _ProbeSweep
-from evi_mmd.targets import _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
+from evi_mmd.targets import _BLOCK_BYTES, _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
 
 
 def integrate_2d(density, box, n_nodes=801):
@@ -384,8 +389,8 @@ def point_mixtures(d):
 
 
 class TestPointSweep:
-    """Point evaluations are the shifted sweep with the one offset 0: their
-    bytes are those of a single ``_sweep`` over the transposed points."""
+    """Point evaluations run ``_sweep`` over row chunks of the transposed
+    points: their bytes are those of a single ``_sweep`` over all of them."""
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize(
@@ -418,6 +423,28 @@ def probe_path(target, x, offsets):
     return vals, grads.reshape(n, -1, d).sum(axis=1)
 
 
+def assert_within_declared_bound(value, ref):
+    """|v - r| <= 1e-10 |r| + 1e-11 max|r|: the bound ``GaussianMixture``
+    declares for its shifted sweep against the probe path."""
+    bound = 1e-10 * np.abs(ref) + 1e-11 * np.abs(ref).max(initial=0.0)
+    assert value.shape == ref.shape
+    assert np.all(np.abs(value - ref) <= bound)
+
+
+def assert_matches_probe_path(target, x, offsets):
+    """Bitwise for targets that fall back to the probe path, within the
+    declared bound for the mixtures' factored sweep."""
+    vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+    ref_vals, ref_sums = probe_path(target, x, offsets)
+    if isinstance(target.shifted_density_and_grad, _ProbeSweep):
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grad_sums.tobytes() == ref_sums.tobytes()
+    else:
+        assert_within_declared_bound(vals, ref_vals)
+        assert_within_declared_bound(grad_sums, ref_sums)
+    return vals, grad_sums
+
+
 SHIFTED_TARGETS = {
     "star": star_mixture,
     "eight": eight_mixture,
@@ -432,54 +459,107 @@ SHIFTED_TARGETS = {
 
 
 class TestShiftedSweep:
-    """``shifted_density_and_grad`` returns the bytes of the probe path:
-    the mixtures' probe-free sweep and the fallback of other targets."""
+    """``shifted_density_and_grad`` against the probe path: within the
+    declared bound for the mixtures' factored sweep, bitwise for the
+    fallback of other targets."""
 
     # N = 200 with L = 20000 is left out: its reference probe matrix alone
-    # takes 32-320 MB.  L = 20000 > _SWEEP_ROWS still runs at N = 1 and 17.
+    # takes 32-320 MB.  L = 20000 still runs at N = 1 and 17.  The wide case
+    # puts particles at scale 4 and offsets at scale 5, about a run's first
+    # bandwidths: far probes whose factored exponents cancel.
     @pytest.mark.parametrize(
-        "n,n_off",
-        [(1, 1), (1, 500), (1, 20000), (17, 1), (17, 500), (17, 20000), (200, 1), (200, 500)],
+        "n,n_off,x_scale,o_scale",
+        [
+            (n, n_off, 2.0, 0.7)
+            for n, n_off in [(1, 1), (1, 500), (1, 20000), (17, 1), (17, 500), (17, 20000)]
+            + [(200, 1), (200, 500)]
+        ]
+        + [(200, 500, 4.0, 5.0)],
     )
     @pytest.mark.parametrize("name", sorted(SHIFTED_TARGETS))
-    def test_bitwise_equal_to_probe_path(self, name, n, n_off):
+    def test_matches_probe_path(self, name, n, n_off, x_scale, o_scale):
         target = SHIFTED_TARGETS[name]()
         d = target.dim
         rng = np.random.default_rng(n + n_off + d)
-        x = rng.normal(scale=2.0, size=(n, d))
-        offsets = 0.7 * rng.normal(size=(n_off, d))
-        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
-        ref_vals, ref_sums = probe_path(target, x, offsets)
+        x = rng.normal(scale=x_scale, size=(n, d))
+        offsets = o_scale * rng.normal(size=(n_off, d))
+        vals, grad_sums = assert_matches_probe_path(target, x, offsets)
         assert vals.shape == (n * n_off,) and grad_sums.shape == (n, d)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert grad_sums.tobytes() == ref_sums.tobytes()
 
-    def test_particles_per_pass_boundary(self):
-        # _SWEEP_ROWS // L particles per pass, with a short last pass.
+    @pytest.mark.parametrize("n_off", [1000, _BLOCK_BYTES // 8 + 1], ids=["blocks", "one-row"])
+    def test_row_block_boundary(self, n_off):
+        # _BLOCK_BYTES // (8 L) particles per row block, at least one, with a
+        # short last block.
         mixture = mixture_of(eight_mixture())
-        n_off = 1000
-        per_pass = _SWEEP_ROWS // n_off
+        rows = max(1, _BLOCK_BYTES // (8 * n_off))
         rng = np.random.default_rng(9)
-        x = rng.normal(scale=3.0, size=(2 * per_pass + 3, 2))
+        x = rng.normal(scale=3.0, size=(2 * rows + 1, 2))
         offsets = rng.normal(size=(n_off, 2))
-        vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)
-        ref_vals, ref_sums = probe_path(mixture, x, offsets)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert grad_sums.tobytes() == ref_sums.tobytes()
+        assert_matches_probe_path(mixture, x, offsets)
 
     def test_non_contiguous_inputs(self):
-        # The reference's own sum order follows its input layout, so it runs
-        # on C-ordered copies: the layout the density closure passes.
+        # The result is the bytes of C-ordered copies of the inputs; the
+        # reference's own sum order follows its input layout, so it runs on
+        # those copies too: the layout the density closure passes.
         target = star_mixture()
         rng = np.random.default_rng(4)
         x = np.asfortranarray(rng.normal(size=(41, 2)))[::2]
         offsets = np.asfortranarray(rng.normal(size=(300, 2)))[::3]
         vals, grad_sums = target.shifted_density_and_grad(x, offsets)
-        ref_vals, ref_sums = probe_path(
-            target, np.ascontiguousarray(x), np.ascontiguousarray(offsets)
+        x, offsets = np.ascontiguousarray(x), np.ascontiguousarray(offsets)
+        c_vals, c_sums = target.shifted_density_and_grad(x, offsets)
+        assert vals.tobytes() == c_vals.tobytes()
+        assert grad_sums.tobytes() == c_sums.tobytes()
+        assert_matches_probe_path(target, x, offsets)
+
+    def test_zero_weight_component_adds_nothing(self):
+        eight = mixture_of(eight_mixture())
+        padded = GaussianMixture(
+            weights=np.append(eight.weights, 0.0),
+            means=np.vstack([eight.means, [[0.5, -0.5]]]),
+            covariances=np.concatenate([eight.covariances, 0.3 * np.eye(2)[None]]),
         )
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert grad_sums.tobytes() == ref_sums.tobytes()
+        rng = np.random.default_rng(12)
+        x = rng.normal(scale=3.0, size=(50, 2))
+        offsets = rng.normal(scale=2.0, size=(200, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, grad_sums = padded.shifted_density_and_grad(x, offsets)
+        ref_vals, ref_sums = eight.shifted_density_and_grad(x, offsets)
+        assert_within_declared_bound(vals, ref_vals)
+        assert_within_declared_bound(grad_sums, ref_sums)
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_bytes_independent_of_blas_threads(self, d):
+        # The two products per component are BLAS calls, which at d = 10 are
+        # large enough for OpenBLAS to split over threads.  BLAS reads its
+        # thread count at import, so each count gets a fresh interpreter.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from evi_mmd import GaussianMixture\n"
+            f"d = {d}\n"
+            "rng = np.random.default_rng(5)\n"
+            "a = rng.normal(size=(4, d, d))\n"
+            "cov = a @ a.transpose(0, 2, 1) / d + 0.5 * np.eye(d)\n"
+            "cov = 0.5 * (cov + cov.transpose(0, 2, 1))\n"
+            "mixture = GaussianMixture(np.full(4, 0.25), rng.normal(size=(4, d)), cov)\n"
+            "x = rng.normal(scale=2.0, size=(300, d))\n"
+            "offsets = rng.normal(size=(700, d))\n"
+            "vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)\n"
+            "print(hashlib.sha256(vals.tobytes() + grad_sums.tobytes()).hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
     def test_probe_path_is_layout_independent(self):
         # Fortran-ordered particles and offsets keep their layout through the
