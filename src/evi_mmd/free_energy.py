@@ -10,21 +10,19 @@ Two target branches share the particle-particle "square term":
 * empirical branch: the cross term is a plain double sum against the current
   mini-batch of training rows.
 
-Each branch has one value-and-gradient implementation, the second closure
-of :func:`density_closures` / :func:`empirical_closures`; the solver calls it
-once per trial point.  It builds each kernel matrix once and, on the density
+Each branch's objective has one implementation, the value-and-gradient
+closure of :func:`density_closures` / :func:`empirical_closures`; the solver
+calls it once per trial point, and every objective value is its value: the
+value closure of each pair, :func:`free_energy` and :func:`grad_free_energy`
+take theirs from it.  It builds each kernel matrix once and, on the density
 branch, makes one call of the target's ``shifted_density_and_grad`` with the
 offsets h * xi: the density at the N·L probes x_i + h xi_l and each
-particle's gradient summed over l.  Mixture targets take it from two matrix
-products per component without building the probes, so the closure's value
-and gradient match the probe matrix's only within the bound stated on
-:class:`evi_mmd.targets.GaussianMixture`; other targets fall back to
-``density_and_grad`` on the probe matrix (:class:`evi_mmd.model.DensityTarget`).
-The value-only ops (:func:`square_term`, :func:`cross_term_density`,
-:func:`cross_term_empirical`, and :func:`free_energy` built from them) are
-kept apart as the reference the gradient is tested against and for recording
-objective values; :func:`grad_free_energy` delegates to the branch's
-value-and-gradient closure.
+particle's gradient summed over l.  Mixture targets take both from two
+matrix products per component, which agree with the probe matrix within the
+bound stated on :class:`evi_mmd.targets.GaussianMixture`; other targets fall
+back to ``density_and_grad`` on the probe matrix
+(:class:`evi_mmd.model.DensityTarget`).  :func:`cross_term_density` sums the
+same values, so a reported value is exactly what the solver minimises.
 
 The gradient of each kernel double sum, sum_ij K(x_i, y_j), is
 -sum_j w_ij (x_i - y_j) / c (:func:`evi_mmd.kernels.weighted_differences`):
@@ -56,7 +54,6 @@ from .model import (
     _check_positive,
     _check_sample,
     _frozen_array,
-    _shifted_probes,
 )
 
 
@@ -97,24 +94,37 @@ def square_term(particles, kernel: KernelConfig) -> float:
     return float(gram(particles, kernel).sum()) / (n * n)
 
 
-def _density_probes(particles: np.ndarray, h: float, noise: McNoise) -> np.ndarray:
-    if noise.dim != particles.shape[1]:
+def _check_noise(noise: Optional[McNoise], dim: int) -> McNoise:
+    """``noise`` once it is a frozen draw in the target's dimension ``dim``."""
+    if noise is None:
+        raise InvalidArgumentError("density branch requires frozen McNoise")
+    if noise.dim != dim:
         raise InvalidArgumentError(
-            f"noise dimension {noise.dim} does not match particles d={particles.shape[1]}"
+            f"noise dimension {noise.dim} does not match the target's d={dim}"
         )
-    return _shifted_probes(particles, h * noise.xi)
+    return noise
+
+
+def _cross_term_density_and_grad(
+    x: np.ndarray, target: DensityTarget, h: float, offsets: np.ndarray, n_samples: int
+) -> Tuple[float, np.ndarray]:
+    """:func:`cross_term_density` and its gradient from one call of the
+    target's ``shifted_density_and_grad`` with ``offsets`` = h * xi."""
+    vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+    scale = gaussian_normalizer(x.shape[1], h) / n_samples
+    return scale * float(vals.sum()), scale * grad_sums
 
 
 def cross_term_density(
     particles, target: DensityTarget, h: float, noise: McNoise
 ) -> float:
-    """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l)."""
+    """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l), from
+    the same ``shifted_density_and_grad`` values as the density branch's
+    closures."""
     particles = _check_array(particles, "particles", 2)
     h = _check_positive(h, "bandwidth")
-    probes = _density_probes(particles, h, noise)
-    vals = np.asarray(target.density(probes), dtype=float)
-    c_h = gaussian_normalizer(particles.shape[1], h)
-    return c_h / noise.n_samples * float(vals.sum())
+    noise = _check_noise(noise, target.dim)
+    return _cross_term_density_and_grad(particles, target, h, h * noise.xi, noise.n_samples)[0]
 
 
 def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
@@ -168,28 +178,20 @@ def density_closures(
     """Value and value+gradient closures over the particle matrix for the
     density branch.  The value+gradient closure makes one call of the
     target's ``shifted_density_and_grad`` with the offsets h * xi, scaled once
-    per closure, and builds the Gram matrix once."""
+    per closure, and builds the Gram matrix once; the value closure returns
+    its value."""
     h = _require_density_kernel(kernel)
-    if noise is None:
-        raise InvalidArgumentError("density branch requires frozen McNoise")
+    noise = _check_noise(noise, target.dim)
     offsets = h * noise.xi
-
-    def value(x: np.ndarray) -> float:
-        x = _check_array(x, "particles", 2)
-        cross = cross_term_density(x, target, h, noise)
-        return -2.0 / x.shape[0] * cross + square_term(x, kernel)
 
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        n, d = x.shape
-        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
-        scale = gaussian_normalizer(d, h) / noise.n_samples
-        cross = scale * float(vals.sum())
-        cross_grad = scale * grad_sums
+        n = x.shape[0]
+        cross, cross_grad = _cross_term_density_and_grad(x, target, h, offsets, noise.n_samples)
         square, square_grad = _square_term_and_grad(x, kernel)
         return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 
-    return value, value_and_grad
+    return lambda x: value_and_grad(x)[0], value_and_grad
 
 
 def empirical_closures(
@@ -197,14 +199,9 @@ def empirical_closures(
 ) -> Tuple[ValueFn, ValueGradFn]:
     """Value and value+gradient closures for the empirical branch with one
     fixed mini-batch.  The value+gradient closure builds the Gram and the
-    particle-batch matrix once each."""
+    particle-batch matrix once each; the value closure returns its value."""
     batch = _check_sample(batch, "mini-batch")
     m = batch.shape[0]
-
-    def value(x: np.ndarray) -> float:
-        x = _check_array(x, "particles", 2)
-        cross = cross_term_empirical(x, batch, kernel)
-        return -2.0 / x.shape[0] * cross + square_term(x, kernel)
 
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -214,18 +211,21 @@ def empirical_closures(
         square, square_grad = _square_term_and_grad(x, kernel)
         return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 
-    return value, value_and_grad
+    return lambda x: value_and_grad(x)[0], value_and_grad
 
 
-def _closures(
-    target, kernel: KernelConfig, noise: Optional[McNoise], batch: Optional[np.ndarray]
-) -> Tuple[ValueFn, ValueGradFn]:
-    """The closure pair of ``target``'s branch."""
+def _value_and_grad(
+    particles, target, kernel: KernelConfig, noise: Optional[McNoise], batch: Optional[np.ndarray]
+) -> Tuple[float, np.ndarray]:
+    """The objective of ``target``'s branch and its gradient at the particles."""
+    particles = _check_array(particles, "particles", 2)
     if isinstance(target, DensityTarget):
-        return density_closures(target, kernel, noise)
-    if isinstance(target, EmpiricalTarget):
-        return empirical_closures(target.data if batch is None else batch, kernel)
-    raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
+        _, value_and_grad = density_closures(target, kernel, noise)
+    elif isinstance(target, EmpiricalTarget):
+        _, value_and_grad = empirical_closures(target.data if batch is None else batch, kernel)
+    else:
+        raise InvalidArgumentError(f"unknown target type: {type(target).__name__}")
+    return value_and_grad(particles)
 
 
 def free_energy(
@@ -237,13 +237,12 @@ def free_energy(
     batch: Optional[np.ndarray] = None,
 ) -> float:
     """Objective value -(2/N) * cross_term + square_term for either branch,
-    computed from the value-only terms above.
+    the value of the branch's value+gradient closure.
 
     Density targets need ``noise`` (and a Gaussian kernel); empirical targets
     use ``batch`` when given and all training rows otherwise.
     """
-    value, _ = _closures(target, kernel, noise, batch)
-    return value(particles)
+    return _value_and_grad(particles, target, kernel, noise, batch)[0]
 
 
 def grad_free_energy(
@@ -255,7 +254,5 @@ def grad_free_energy(
     batch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of :func:`free_energy` with respect to the particle matrix,
-    from the branch's value+gradient closure."""
-    particles = _check_array(particles, "particles", 2)
-    _, value_and_grad = _closures(target, kernel, noise, batch)
-    return value_and_grad(particles)[1]
+    from the same value+gradient closure."""
+    return _value_and_grad(particles, target, kernel, noise, batch)[1]

@@ -30,7 +30,10 @@ _KERNEL_KINDS = (GAUSSIAN, NEGATIVE_EUCLIDEAN)
 def _check_array(values, name: str, ndim: int) -> np.ndarray:
     """``values`` as a float array (a copy only when they are not one), once
     it has rank ``ndim`` and only finite entries."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # strings, ragged nesting, other objects
+        raise InvalidArgumentError(f"{name} must be an array of real numbers") from None
     if arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a rank-{ndim} array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -51,8 +54,7 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
     """A read-only copy of ``values`` once :func:`_check_array` accepts it;
     every matrix a value object holds is a sample, checked by
     :func:`_check_sample`."""
-    arr = np.array(values, dtype=float)
-    arr = _check_sample(arr, name) if ndim == 2 else _check_array(arr, name, ndim)
+    arr = np.array(_check_sample(values, name) if ndim == 2 else _check_array(values, name, ndim))
     arr.setflags(write=False)
     return arr
 
@@ -273,7 +275,8 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class BandwidthSchedule:
-    """Decaying bandwidth h(n) = a / n^c + b, strictly decreasing toward b."""
+    """Decaying bandwidth h(n) = a / n^c + b, non-increasing toward b: it is b
+    once a / n^c is below half of b's float spacing (every n for a = 1e-300)."""
 
     a: float
     b: float

@@ -70,15 +70,12 @@ def check_schedule(schedule: BandwidthSchedule, max_iter: int) -> BandwidthSched
 
 
 def median_pairwise_distance(points) -> float:
-    """Median over the N(N-1)/2 distinct-pair Euclidean distances."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise InvalidArgumentError(
-            f"need at least two points in a 2-d array, got shape {points.shape}"
-        )
+    """Median over the N(N-1)/2 distinct-pair Euclidean distances of N >= 2
+    points."""
+    points = _check_sample(points, "points")
+    n = _check_count(points.shape[0], "number of points", 2)
     dist = pairwise_distances(points, points)
-    iu = np.triu_indices(points.shape[0], k=1)
-    return float(np.median(dist[iu]))
+    return float(np.median(dist[np.triu_indices(n, k=1)]))
 
 
 def auto_schedule(init_particles, b: float, c: float) -> BandwidthSchedule:

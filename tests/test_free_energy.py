@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.polynomial.hermite_e import hermegauss
 
 from evi_mmd import (
+    BandwidthSchedule,
     DensityTarget,
     EmpiricalTarget,
     InvalidArgumentError,
@@ -18,21 +20,23 @@ from evi_mmd import (
     cross_term_density,
     cross_term_empirical,
     eight_mixture,
+    explicit_euler_mmd_run,
     free_energy,
     gauss_eval,
     grad_free_energy,
     isotropic_gaussian,
     square_term,
     star_mixture,
+    wave_density,
 )
 from evi_mmd.free_energy import (
-    _density_probes,
     _kernel_sum_and_grad,
     density_closures,
     empirical_closures,
     gaussian_normalizer,
 )
 from evi_mmd.kernels import cross_gram, gram, pairwise_distances
+from evi_mmd.model import _shifted_probes
 
 GAUSS1 = KernelConfig.gaussian(1.0)
 
@@ -271,15 +275,10 @@ class TestClosures:
         noise = McNoise.draw(np.random.default_rng(2), 128, 2)
         kernel = KernelConfig.gaussian(0.8)
         pts = np.random.default_rng(3).normal(size=(6, 2))
-        value_fn, vg_fn = density_closures(target, kernel, noise)
+        _, vg_fn = density_closures(target, kernel, noise)
         v, g = vg_fn(pts)
-        assert value_fn(pts) == pytest.approx(
-            free_energy(pts, target, kernel, noise=noise), rel=1e-14
-        )
-        assert v == pytest.approx(free_energy(pts, target, kernel, noise=noise), rel=1e-14)
-        np.testing.assert_allclose(
-            g, grad_free_energy(pts, target, kernel, noise=noise), atol=1e-14
-        )
+        assert_within_declared_bound(v, g, pts, target, kernel, noise)
+        np.testing.assert_array_equal(g, grad_free_energy(pts, target, kernel, noise=noise))
 
     def test_empirical_closures_match_op_functions(self):
         rng = np.random.default_rng(4)
@@ -293,6 +292,85 @@ class TestClosures:
         np.testing.assert_allclose(
             g, grad_free_energy(pts, target, kernel, batch=batch), atol=1e-14
         )
+
+
+def _raising_density(x):
+    raise AssertionError("the objective called DensityTarget.density")
+
+
+SINGLE_PATH_TARGETS = {
+    "star": star_mixture,
+    "eight": eight_mixture,
+    "gaussian": lambda: isotropic_gaussian(2, 0.8),
+}
+
+
+class TestSingleValuePath:
+    """Every objective value comes from the branch's value-and-gradient
+    closure: on the density branch, from the target's
+    ``shifted_density_and_grad``, never from ``density``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, x, n: density_closures(t, GAUSS1, n),
+            lambda t, x, n: free_energy(x, t, GAUSS1, noise=n),
+            lambda t, x, n: grad_free_energy(x, t, GAUSS1, noise=n),
+            lambda t, x, n: cross_term_density(x, t, 1.0, n),
+        ],
+        ids=["density_closures", "free_energy", "grad_free_energy", "cross_term_density"],
+    )
+    def test_noise_dimension_is_checked_by_name(self, call):
+        noise = McNoise.draw(np.random.default_rng(0), 10, 3)
+        with pytest.raises(InvalidArgumentError, match="noise dimension 3"):
+            call(isotropic_gaussian(2, 1.0), np.zeros((4, 2)), noise)
+
+    @pytest.mark.parametrize("name", SINGLE_PATH_TARGETS)
+    def test_density_is_never_called(self, name):
+        target = dataclasses.replace(SINGLE_PATH_TARGETS[name](), density=_raising_density)
+        rng = np.random.default_rng(5)
+        x = target.exact_sampler(rng, 12)
+        noise = McNoise.draw(rng, 40, 2)
+        assert np.isfinite(free_energy(x, target, KernelConfig.gaussian(0.6), noise=noise))
+        assert np.isfinite(cross_term_density(x, target, 0.6, noise))
+        _, record = explicit_euler_mmd_run(
+            target, BandwidthSchedule(1.0, 0.3, 0.5), 0.05, 3, rng, x, mc_samples=40
+        )
+        assert len(record.rows) == 3
+        assert all(np.isfinite(row.free_energy) for row in record.rows)
+
+    @pytest.mark.parametrize("name", SINGLE_PATH_TARGETS)
+    def test_explicit_euler_records_the_objective(self, name):
+        target = SINGLE_PATH_TARGETS[name]()
+        x = target.exact_sampler(np.random.default_rng(6), 15)
+        steps = []
+        _, record = explicit_euler_mmd_run(
+            target, BandwidthSchedule(1.0, 0.3, 0.5), 0.05, 4, np.random.default_rng(7), x,
+            mc_samples=30, on_iteration=steps.append,
+        )
+        # objective_source draws the noise from the first of two spawned streams
+        noise = McNoise.draw(np.random.default_rng(7).spawn(2)[0], 30, target.dim)
+        assert [row.n for row in record.rows] == [info.n for info in steps] == [1, 2, 3, 4]
+        for row, info in zip(record.rows, steps):
+            kernel = KernelConfig.gaussian(info.h_n)
+            expect = free_energy(info.particles, target, kernel, noise=noise)
+            assert row.free_energy.hex() == expect.hex()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: density_closures(eight_mixture(), GAUSS1, McNoise.draw(rng, 50, 2)),
+            lambda rng: density_closures(wave_density(), GAUSS1, McNoise.draw(rng, 50, 2)),
+            lambda rng: empirical_closures(rng.normal(size=(30, 2)), GAUSS1),
+            lambda rng: empirical_closures(rng.normal(size=(30, 2)), ENERGY),
+        ],
+        ids=["eight", "wave", "empirical-gaussian", "empirical-energy"],
+    )
+    def test_value_closure_is_the_value_of_value_and_grad(self, make):
+        rng = np.random.default_rng(8)
+        value_fn, vg_fn = make(rng)
+        x = rng.uniform(-3.0, 3.0, size=(20, 2))
+        assert value_fn(x).hex() == vg_fn(x)[0].hex()
 
 
 class TestKernelMatrixCounts:
@@ -363,13 +441,33 @@ def einsum_gaussian_empirical(x, batch, kernel):
 def einsum_gaussian_density(x, target, kernel, noise):
     n, d = x.shape
     h = kernel.bandwidth
-    vals, grads = target.density_and_grad(_density_probes(x, h, noise))
+    vals, grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
     scale = gaussian_normalizer(d, h) / noise.n_samples
     cross = scale * float(vals.sum())
     cross_grad = scale * grads.reshape(n, -1, d).sum(axis=1)
     sq, sq_w = einsum_gaussian_sum_and_grad(x, x, kernel, square=True)
     square, square_grad = sq / (n * n), -2.0 / (n * n * h**2) * sq_w
     return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
+
+
+def assert_within_declared_bound(value, grad, x, target, kernel, noise):
+    """The density closure's value and gradient against the probe-matrix
+    formula.  Only the cross term differs: each density r and gradient sum of
+    the probe matrix may move by 1e-10 |r| + 1e-11 max|r|, times the
+    closure's factor 2 C_h / (N L), plus a few ulps of the assembly."""
+    (n, d), h = x.shape, kernel.bandwidth
+    ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
+    vals, grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
+    sums = np.abs(grads.reshape(n, -1, d).sum(axis=1))
+    vals = np.abs(vals)
+    factor = 2.0 / n * gaussian_normalizer(d, h) / noise.n_samples
+    eps = np.finfo(float).eps
+    value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max())
+    value_bound += 4 * eps * (abs(ref_value) + 2 * factor * vals.sum())
+    grad_bound = factor * (1e-10 * sums + 1e-11 * sums.max())
+    grad_bound += 4 * eps * (np.abs(ref_grad) + 2 * factor * sums)
+    assert abs(value - ref_value) <= value_bound
+    assert np.all(np.abs(grad - ref_grad) <= grad_bound)
 
 
 def unit_differences(a, b):
@@ -446,9 +544,6 @@ class TestOneGradientForm:
 
     @pytest.mark.parametrize("d,sigma", [(1, 0.8), (2, 1.0), (3, 0.5)])
     def test_gaussian_density_closure_within_declared_bound(self, d, sigma):
-        # Only the cross term differs: each density r and gradient sum of the
-        # probe matrix may move by 1e-10 |r| + 1e-11 max|r|, times the
-        # closure's factor 2 C_h / (N L), plus a few ulps of the assembly.
         target = isotropic_gaussian(d, sigma)
         rng = np.random.default_rng(target.dim)
         x = rng.normal(size=(25, target.dim))
@@ -456,18 +551,7 @@ class TestOneGradientForm:
         kernel = KernelConfig.gaussian(0.9)
         _, vg_fn = density_closures(target, kernel, noise)
         value, grad = vg_fn(x)
-        ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
-        vals, grads = target.density_and_grad(_density_probes(x, 0.9, noise))
-        sums = np.abs(grads.reshape(x.shape[0], -1, d).sum(axis=1))
-        vals = np.abs(vals)
-        factor = 2.0 / x.shape[0] * gaussian_normalizer(d, 0.9) / noise.n_samples
-        eps = np.finfo(float).eps
-        value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max())
-        value_bound += 4 * eps * (abs(ref_value) + 2 * factor * vals.sum())
-        grad_bound = factor * (1e-10 * sums + 1e-11 * sums.max())
-        grad_bound += 4 * eps * (np.abs(ref_grad) + 2 * factor * sums)
-        assert abs(value - ref_value) <= value_bound
-        assert np.all(np.abs(grad - ref_grad) <= grad_bound)
+        assert_within_declared_bound(value, grad, x, target, kernel, noise)
 
     @pytest.mark.parametrize("n,m", [(30, 45), (200, 150)])
     @pytest.mark.parametrize("d", [1, 2, 10])
@@ -606,7 +690,7 @@ class TestConvolutionOracle:
         est_vals = c_h / n_mc * vals.reshape(n, n_mc).sum(axis=1)
         est_grads = c_h / n_mc * grad_sums
         # per-probe sample standard deviations give the CLT standard errors
-        probe_vals, probe_grads = target.density_and_grad(_density_probes(x, h, noise))
+        probe_vals, probe_grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
         se_vals = c_h * probe_vals.reshape(n, n_mc).std(axis=1, ddof=1) / np.sqrt(n_mc)
         se_grads = c_h * probe_grads.reshape(n, n_mc, d).std(axis=1, ddof=1) / np.sqrt(n_mc)
         exact_vals, exact_grads = convolved_mixture(mixture_of(target), x, h)

@@ -67,6 +67,12 @@ class TestParticleSet:
         with pytest.raises(InvalidArgumentError):
             ParticleSet(positions)
 
+    @pytest.mark.parametrize("positions", [[["a", "b"]], [[0.0, 1.0], [2.0]], [[object()]]])
+    def test_rejects_what_is_not_real_numbers_by_name(self, positions):
+        match = "^positions must be an array of real numbers"
+        with pytest.raises(InvalidArgumentError, match=match):
+            ParticleSet(positions)
+
     def test_rejects_negative_iteration(self):
         with pytest.raises(InvalidArgumentError):
             ParticleSet(np.zeros((1, 1)), iteration=-1)

@@ -20,6 +20,7 @@ from evi_mmd import (
     median_pairwise_distance,
     proximal_objective,
 )
+from evi_mmd.config import config_from_dict
 from evi_mmd.solver import LbfgsState, draw_minibatch, implicit_step, run_loop
 
 
@@ -57,6 +58,16 @@ class TestBandwidthAt:
         with pytest.raises(InvalidArgumentError):
             bandwidth_at(BandwidthSchedule(1, 0.1, 0.5), 0)
 
+    @pytest.mark.parametrize("c", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("b", [0.05, 0.1, 0.3, 0.5, 1.0, 2.0])
+    def test_tiny_scale_is_a_fixed_bandwidth(self, b, c):
+        # a / n^c is far below half of b's float spacing, so h(n) rounds to b
+        schedule = BandwidthSchedule(1e-300, b, c)
+        assert all(bandwidth_at(schedule, n) == b for n in range(1, 5001))
+        raw = {"method": "explicit_mmd", "target": "eight", "N": 200, "maxIter": 5000}
+        cfg = config_from_dict(dict(raw, a=1e-300, b=b, c=c))
+        assert (cfg.a, cfg.b, cfg.c) == (1e-300, b, c)
+
 
 class TestMedianPairwiseDistance:
     def test_two_points(self):
@@ -72,6 +83,22 @@ class TestMedianPairwiseDistance:
     def test_rejects_single_point(self):
         with pytest.raises(InvalidArgumentError):
             median_pairwise_distance(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize(
+        "points,match",
+        [
+            ([[0.0, 1.0], [np.nan, 2.0]], "^points contains non-finite entries"),
+            ([[0.0, 1.0], [np.inf, 2.0]], "^points contains non-finite entries"),
+            (np.zeros((2, 0)), r"^points must be nonempty, got shape \(2, 0\)"),
+            ([0.0, 1.0, 3.0], r"^points must be a rank-2 array, got shape \(3,\)"),
+            (np.zeros((1, 3)), "^number of points must be an integer >= 2, got 1"),
+            ([["a", "b"], ["c", "d"]], "^points must be an array of real numbers"),
+        ],
+        ids=["nan", "inf", "no-columns", "rank-1", "one-point", "strings"],
+    )
+    def test_rejects_what_the_sample_check_rejects(self, points, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            median_pairwise_distance(points)
 
     @given(st.integers(2, 12), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
