@@ -16,11 +16,12 @@ calls it once per trial point, and every objective value is its value: the
 value closure of each pair, :func:`free_energy` and :func:`grad_free_energy`
 take theirs from it.  It builds each kernel matrix once and, on the density
 branch, makes one call of the target's ``shifted_density_and_grad`` with the
-offsets h * xi: the density at the N·L probes x_i + h xi_l and each
-particle's gradient summed over l.  Mixture targets take both from two
-matrix products per component, which agree with the probe matrix within the
-bound stated on :class:`evi_mmd.targets.GaussianMixture`; other targets fall
-back to ``density_and_grad`` on the probe matrix
+offsets h * xi: each particle's density and gradient at the N·L probes x_i +
+h xi_l, summed over l.  Mixture targets take both sums from two matrix
+products and one exponential per probe for each group of components that
+share a covariance, which agree with the probe matrix within the bound
+stated on :class:`evi_mmd.targets.GaussianMixture`; other targets fall back
+to ``density_and_grad`` on the probe matrix
 (:class:`evi_mmd.model.DensityTarget`).  :func:`cross_term_density` sums the
 same values, so a reported value is exactly what the solver minimises.
 
@@ -110,9 +111,9 @@ def _cross_term_density_and_grad(
 ) -> Tuple[float, np.ndarray]:
     """:func:`cross_term_density` and its gradient from one call of the
     target's ``shifted_density_and_grad`` with ``offsets`` = h * xi."""
-    vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+    val_sums, grad_sums = target.shifted_density_and_grad(x, offsets)
     scale = gaussian_normalizer(x.shape[1], h) / n_samples
-    return scale * float(vals.sum()), scale * grad_sums
+    return scale * float(val_sums.sum()), scale * grad_sums
 
 
 def cross_term_density(

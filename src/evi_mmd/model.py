@@ -29,11 +29,15 @@ _KERNEL_KINDS = (GAUSSIAN, NEGATIVE_EUCLIDEAN)
 
 def _check_array(values, name: str, ndim: int) -> np.ndarray:
     """``values`` as a float array (a copy only when they are not one), once
-    it has rank ``ndim`` and only finite entries."""
+    it holds only real numbers, has rank ``ndim`` and only finite entries."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # strings, ragged nesting, other objects
-        raise InvalidArgumentError(f"{name} must be an array of real numbers") from None
+        arr = np.asarray(values)
+        real = arr.dtype.kind not in "SU"  # numpy would parse "1.5" as a float
+        arr = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError):  # ragged nesting, other objects
+        real = False
+    if not real:
+        raise InvalidArgumentError(f"{name} must be an array of real numbers")
     if arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a rank-{ndim} array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -122,13 +126,14 @@ class DensityTarget:
     fused evaluation the samplers call; it must agree with the two separate
     callables, and when it is not given it calls them one after the other.
 
-    ``shifted_density_and_grad`` (x, offsets) -> (vals, grad_sums) is the
-    density-branch cross term's evaluation: for N particles x (N, d) and L
-    offsets (L, d) it returns the density at the N·L probes x_i + o_l, in
-    i-major order, and the (N, d) sums over l of their gradients.  When it is
-    not given it builds the (N·L, d) probe matrix, calls ``density_and_grad``
-    on it and sums the gradients with ``reshape(N, L, d).sum(axis=1)``; a
-    given one must agree with that (the mixtures' within the bound stated on
+    ``shifted_density_and_grad`` (x, offsets) -> (val_sums, grad_sums) is
+    the density-branch cross term's evaluation: for N particles x (N, d) and
+    L offsets (L, d) it returns, for each particle, the sum over l of the
+    density at the probes x_i + o_l, (N,), and the sum over l of their
+    gradients, (N, d).  When it is not given it builds the (N·L, d) probe
+    matrix in i-major order, calls ``density_and_grad`` on it and sums both
+    outputs over l with ``reshape(N, L, ...).sum(axis=1)``; a given one must
+    agree with that (the mixtures' within the bound stated on
     :class:`evi_mmd.targets.GaussianMixture`).
     Both reject offsets that are not L x d with L >= 1 and particles whose d
     is not the target's.
@@ -210,13 +215,13 @@ class _ProbeSweep:
 
     def __call__(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
         x, offsets = _check_shifts(x, offsets, self.dim)
-        n, d = x.shape
+        (n, d), n_off = x.shape, offsets.shape[0]
         vals, grads = self.density_and_grad(_shifted_probes(x, offsets))
         # C order first: a strided reshape of a Fortran-ordered gradient would
         # sum over l in another order.
         grads = np.ascontiguousarray(grads, dtype=float)
-        grad_sums = grads.reshape(n, offsets.shape[0], d).sum(axis=1)
-        return np.asarray(vals, dtype=float), grad_sums
+        val_sums = np.asarray(vals, dtype=float).reshape(n, n_off).sum(axis=1)
+        return val_sums, grads.reshape(n, n_off, d).sum(axis=1)
 
 
 @dataclass(frozen=True)

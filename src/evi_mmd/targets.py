@@ -4,20 +4,20 @@ The three 2-d toys (a star-shaped five-component mixture, an eight-component
 ring mixture, and a wave-shaped density) plus an isotropic Gaussian of any
 dimension.  Densities and gradients are batched: (n, d) in, (n,) / (n, d) out.
 A mixture evaluates points with plain ufunc arithmetic and the N·L probes of
-the density-branch cross term with two matrix products per component, which
-agree with the point evaluation within a declared bound
+the density-branch cross term with two matrix products and one exponential
+per probe for each group of components that share a covariance; the probes'
+per-particle sums agree with the point evaluation within a declared bound
 (:class:`GaussianMixture`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .kernels import _EXP_FAST_MIN
 from .model import DensityTarget, _check_count, _check_positive, _check_shifts, _frozen_array
 
 _WEIGHT_TOL = 1e-12
@@ -28,8 +28,27 @@ _SWEEP_ROWS = 8192
 # Bytes of one (rows, L) exponent block of the shifted sweep: its scratch and
 # output rows then stay in a core's L2 cache, and its scratch does not grow
 # with N·L.  At N = 200, L = 500 on a 2 MiB-L2 Xeon, 256 KiB blocks swept the
-# eight mixture in about 3.1 ms, 1 MiB blocks (all 200 rows) in 4.6 ms.
+# star mixture in about 1.9 ms, 64 KiB blocks in 2.5 ms and 1 MiB blocks (all
+# 200 rows) in 2.0 ms.
 _BLOCK_BYTES = 1 << 18
+# Most multiply-adds of one of the shifted sweep's second products, whose
+# width grows with a group's size.  OpenBLAS runs a product of at most 65536
+# * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread; a larger
+# one may be split over threads, and its bytes then depend on their number.
+_SERIAL_PRODUCT = 1 << 18
+# The shifted sweep sets to 0 each exponential, and each factor of one,
+# whose exponent is below _EXP_KEEP_MIN: such a term is below exp(-707),
+# about 9.1e-308.  Below about -707.78 np.exp leaves its vector loop, and its
+# subnormal results slow the sums that follow.
+_EXP_KEEP_MIN = -707.0
+# A group's shifted exponentials are at most exp(max_k log norm_k +
+# min(a_spread, c_spread)), where a_spread = max_i (max_k a_ik - min_k a_ik)
+# and c_spread = max_l (max_k c_kl - min_k c_kl).  Where that bound exceeds
+# exp(_SHIFT_SPREAD) the group is swept one component at a time, so that no
+# exponential overflows and a term whose factor is dropped is below
+# exp(_SHIFT_SPREAD - 707), about 3e-47.  Without the split, particles and
+# offsets at scale 10 gave non-finite eight-mixture sums.
+_SHIFT_SPREAD = 600.0
 
 
 @dataclass(frozen=True)
@@ -50,16 +69,19 @@ class GaussianMixture:
     (``tests/test_targets.py``).
 
     :meth:`shifted_density_and_grad` is the density-branch cross term's
-    evaluation.  It factors each component's exponent at the probes x_i + o_l
-    into a particle part and an offset part, and takes the exponents and the
-    gradient sums from two BLAS matrix products per component, without
-    building the probes.  It does not return the bytes of
-    :meth:`density_and_grad` on the probe matrix followed by ``reshape(N, L,
-    d).sum(axis=1)``; each density and each gradient sum v agrees with that
-    reference r within |v - r| <= 1e-10 |r| + 1e-11 max|r|, the maximum taken
-    over all densities or over all gradient sums; terms below exp(-708), about
-    3.3e-308, are dropped.  Its bytes do not depend on the memory layout of
-    its inputs or on the BLAS thread count.
+    evaluation.  It groups the components by bitwise-equal covariance once,
+    at construction (a zero-weight component joins no group), factors each
+    exponent at the probes x_i + o_l into a particle part, a cross part and
+    an offset part, and sweeps each group with two BLAS matrix products and
+    one exponential per probe, without building the probes.  It does not
+    return the bytes of :meth:`density_and_grad` on the probe matrix followed
+    by sums over l; each per-particle density sum and gradient sum v agrees
+    with that reference r within |v - r| <= 1e-10 |r| + 1e-11 max|r|, the
+    maximum taken over all density sums or over all gradient sums.  Terms
+    below exp(-707), about 9.1e-308, are dropped, and so are terms below
+    about 3e-47 whose factored parts underflow (``_SHIFT_SPREAD``).  Its
+    bytes do not depend on the memory layout of its inputs or on the BLAS
+    thread count (``_SERIAL_PRODUCT``; tested at d = 2 and 10).
     """
 
     weights: np.ndarray
@@ -96,6 +118,24 @@ class GaussianMixture:
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_norm", norm)
+        # Live components grouped by bitwise-equal covariance, in component
+        # order; a zero-weight component adds exactly 0 and joins no group.
+        groups = {}
+        for k in np.flatnonzero(norm > 0.0):
+            groups.setdefault(cov[k].tobytes(), []).append(k)
+        groups = [np.array(g) for g in groups.values()]
+        # The shifted sweep's layout: the live components in group order, the
+        # group bounds in it, each group's center m (the mean of its means,
+        # so that a group far from the origin keeps its exponents' rounding at
+        # the scale of x - m) and each component's (mu_k - m) P.
+        sizes = [g.size for g in groups]
+        order = np.concatenate(groups) if groups else np.empty(0, dtype=int)
+        centers = np.array([mu[g].mean(axis=0) for g in groups]).reshape(-1, d)
+        centered = mu[order] - np.repeat(centers, sizes, axis=0)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_bounds", np.cumsum([0] + sizes).tolist())
+        object.__setattr__(self, "_centers", centers)
+        object.__setattr__(self, "_center_pull", np.einsum("kd,kde->ke", centered, inv[order]))
 
     @property
     def n_components(self) -> int:
@@ -159,58 +199,100 @@ class GaussianMixture:
         return self._at_points(x, with_grad=True)
 
     def shifted_density_and_grad(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
-        """Density at the N·L probes x_i + o_l, i-major, and the (N, d) sums
-        over l of their gradients, without an (N·L, d) probe matrix.
+        """(N,) sums over l of the density at the N·L probes x_i + o_l and
+        (N, d) sums over l of their gradients, without an (N·L, d) probe
+        matrix.
 
-        With delta = x_i - mu_k and precision P, component k's log-density at
-        a probe is A_ik + B_ik . o_l + C_kl, where B_ik = -delta P, A_ik =
-        -delta P delta / 2 + log norm_k and C_kl = -o_l P o_l / 2, so one
-        product [B | A | 1] @ [O | 1 | C_k]^T gives a row block's exponents.
-        The gradient sums are sum_k (B_ik S_ik - (sum_l comp_ikl o_l) P), and
-        a second product, comp @ [O | 1], gives sum_l comp_ikl o_l and the row
-        sums S_ik.
+        For a group of components with one precision P and center m, the
+        mean of their means, component k's log-density at a probe is a_ik +
+        G_il + c_kl, where delta_ik = x_i - mu_k, a_ik = -delta_ik P delta_ik
+        / 2 + log norm_k, G_il = -(x_i - m) P o_l and c_kl = (mu_k - m) P o_l
+        - o_l P o_l / 2.  With alpha_i = max_k a_ik and gamma_l = max_k c_kl,
+        the term is E_a,ik e_il E_c,kl, where E_a = exp(a - alpha), E_c =
+        exp(c - gamma) and e_il = exp(G_il + alpha_i + gamma_l).  Per row
+        block, one product [-(x - m) P | alpha | 1] @ [O | 1 | gamma]^T gives
+        the exponents of e, one exponential per probe gives e, and a second
+        product, e @ [E_c^T | E_c^T o], gives T_ik = sum_l e_il E_c,kl and
+        U_ik = sum_l e_il E_c,kl o_l.  The density sums are sum_k E_a,ik T_ik
+        and the gradient sums -sum_k E_a,ik (T_ik delta_ik + U_ik) P.  A
+        group whose shifts could underflow a factor is swept one component at
+        a time (``_SHIFT_SPREAD``), with E_a = E_c = 1.
         """
         x, offsets = _check_shifts(x, offsets, self.dim)
-        (n, d), n_off = x.shape, offsets.shape[0]
-        # A zero-weight component adds exactly 0 and has no log norm.
-        live = np.flatnonzero(self._norm > 0.0)
-        inv = self._inv[live]
-        left = np.empty((live.size, n, d + 2))
-        diff = x - self.means[live][:, None, :]
-        pull = np.negative(diff @ inv, out=left[..., :d])
-        left[..., d] = 0.5 * np.einsum("knd,knd->kn", diff, pull)
-        left[..., d] += np.log(self._norm[live])[:, None]
+        x, offsets = np.ascontiguousarray(x), np.ascontiguousarray(offsets)
+        (n, d), n_off, order, bounds = x.shape, offsets.shape[0], self._order, self._bounds
+        if order.size == 0:
+            return np.zeros(n), np.zeros((n, d))
+        inv, log_norm = self._inv[order], np.log(self._norm[order])
+        diff = x - self.means[order][:, None, :]
+        a = -0.5 * np.einsum("knd,knd->kn", diff, diff @ inv) + log_norm[:, None]
+        c = self._center_pull @ offsets.T
+        c -= 0.5 * np.einsum("kld,ld->kl", offsets @ inv, offsets)
+        # The sweep's parts: whole groups, and each component of a group
+        # whose shifted exponentials could exceed exp(_SHIFT_SPREAD).
+        parts, part_groups = [], []
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            wide = hi - lo > 1 and log_norm[lo:hi].max() + min(
+                np.ptp(a[lo:hi], axis=0).max(initial=0.0), np.ptp(c[lo:hi], axis=0).max()
+            ) > _SHIFT_SPREAD
+            starts = range(lo, hi) if wide else [lo]
+            parts += starts
+            part_groups += [g] * len(starts)
+        cuts = parts + [order.size]
+        part_sizes = np.diff(cuts)
+        alpha = np.maximum.reduceat(a, parts)
+        gamma = np.maximum.reduceat(c, parts)
+        e_a = _exp_dropping_tiny(a - alpha.repeat(part_sizes, axis=0))
+        e_c = _exp_dropping_tiny(c - gamma.repeat(part_sizes, axis=0))
+        left = np.empty((len(parts), n, d + 2))
+        left[..., :d] = ((self._centers[:, None, :] - x) @ inv[bounds[:-1]])[part_groups]
+        left[..., d] = alpha
         left[..., d + 1] = 1.0
-        right = np.empty((live.size, n_off, d + 2))
+        right = np.empty((len(parts), n_off, d + 2))
         right[..., :d] = offsets
         right[..., d] = 1.0
-        right[..., d + 1] = -0.5 * np.einsum("kld,ld->kl", offsets @ inv, offsets)
-        sums = np.empty((live.size, n, d + 1))
-        vals = np.zeros((n, n_off))
+        right[..., d + 1] = gamma
+        # Component k's columns of weights and sums are k (d+1) to (k+1) (d+1).
+        weights = np.empty((n_off, order.size, d + 1))
+        weights[..., 0] = e_c.T
+        np.multiply(e_c.T[..., None], offsets[:, None, :], out=weights[..., 1:])
+        weights = weights.reshape(n_off, -1)
+        sums = np.empty((n, weights.shape[1]))
+        # Rows per block, and components per second product (_SERIAL_PRODUCT).
         rows = max(1, _BLOCK_BYTES // (8 * n_off))
+        step = max(1, _SERIAL_PRODUCT // (rows * n_off * (d + 1)))
         block = np.empty((min(rows, n), n_off))
-        dropped = np.empty(block.shape, dtype=bool)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            comp, slow = block[: stop - start], dropped[: stop - start]
-            for k in range(live.size):
-                np.matmul(left[k, start:stop], right[k].T, out=comp)
-                # Below _EXP_FAST_MIN np.exp leaves its vector loop, and its
-                # subnormal results there slow the sums: those terms, each
-                # under 3.3e-308, are dropped.
-                np.less(comp, _EXP_FAST_MIN, out=slow)
-                np.copyto(comp, 0.0, where=slow)
-                np.exp(comp, out=comp)
-                np.copyto(comp, 0.0, where=slow)
-                vals[start:stop] += comp
-                np.matmul(comp, right[k, :, : d + 1], out=sums[k, start:stop])
-        grad_sums = np.zeros((n, d))
-        for k in range(live.size):
-            grad_sums += pull[k] * sums[k, :, d:] - sums[k, :, :d] @ inv[k]
-        return vals.reshape(-1), grad_sums
+        keep = np.empty(block.shape, dtype=bool)
+        for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                e = block[: stop - start]
+                np.matmul(left[p, start:stop], right[p].T, out=e)
+                _exp_dropping_tiny(e, keep[: stop - start])
+                for k in range(lo, hi, step):
+                    cols = slice(k * (d + 1), min(k + step, hi) * (d + 1))
+                    np.matmul(e, weights[:, cols], out=sums[start:stop, cols])
+        sums = sums.reshape(n, order.size, d + 1)
+        weighted = e_a.T * sums[..., 0]
+        pulled_sums = weighted[..., None] * diff.transpose(1, 0, 2) + e_a.T[..., None] * sums[..., 1:]
+        return weighted.sum(axis=1), -np.einsum("nkd,kde->ne", pulled_sums, inv)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mixture_sampler(self, n, rng)
+
+
+def _exp_dropping_tiny(z: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(z) in place, with the entries below _EXP_KEEP_MIN set to 0.
+
+    ``keep``, a boolean array shaped like ``z``, is the scratch for the mask.
+    Clamping those entries to _EXP_KEEP_MIN keeps np.exp in its vector loop,
+    and a multiply by the mask is branch-free where a masked copy is not."""
+    if z.size == 0 or z.min() >= _EXP_KEEP_MIN:
+        return np.exp(z, out=z)
+    keep = np.greater_equal(z, _EXP_KEEP_MIN, out=keep)
+    np.maximum(z, _EXP_KEEP_MIN, out=z)
+    np.exp(z, out=z)
+    return np.multiply(z, keep, out=z)
 
 
 def mixture_sampler(target: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

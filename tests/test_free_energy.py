@@ -443,7 +443,7 @@ def einsum_gaussian_density(x, target, kernel, noise):
     h = kernel.bandwidth
     vals, grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
     scale = gaussian_normalizer(d, h) / noise.n_samples
-    cross = scale * float(vals.sum())
+    cross = scale * float(vals.reshape(n, -1).sum(axis=1).sum())
     cross_grad = scale * grads.reshape(n, -1, d).sum(axis=1)
     sq, sq_w = einsum_gaussian_sum_and_grad(x, x, kernel, square=True)
     square, square_grad = sq / (n * n), -2.0 / (n * n * h**2) * sq_w
@@ -452,14 +452,15 @@ def einsum_gaussian_density(x, target, kernel, noise):
 
 def assert_within_declared_bound(value, grad, x, target, kernel, noise):
     """The density closure's value and gradient against the probe-matrix
-    formula.  Only the cross term differs: each density r and gradient sum of
-    the probe matrix may move by 1e-10 |r| + 1e-11 max|r|, times the
-    closure's factor 2 C_h / (N L), plus a few ulps of the assembly."""
+    formula.  Only the cross term differs: each per-particle density sum r
+    and gradient sum of the probe matrix may move by 1e-10 |r| + 1e-11
+    max|r|, times the closure's factor 2 C_h / (N L), plus a few ulps of the
+    assembly."""
     (n, d), h = x.shape, kernel.bandwidth
     ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
     vals, grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
     sums = np.abs(grads.reshape(n, -1, d).sum(axis=1))
-    vals = np.abs(vals)
+    vals = np.abs(vals.reshape(n, -1).sum(axis=1))
     factor = 2.0 / n * gaussian_normalizer(d, h) / noise.n_samples
     eps = np.finfo(float).eps
     value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max())
@@ -686,8 +687,8 @@ class TestConvolutionOracle:
         noise = McNoise.draw(rng, 2000, target.dim)
         (n, d), n_mc = x.shape, noise.n_samples
         c_h = gaussian_normalizer(d, h)
-        vals, grad_sums = target.shifted_density_and_grad(x, h * noise.xi)
-        est_vals = c_h / n_mc * vals.reshape(n, n_mc).sum(axis=1)
+        val_sums, grad_sums = target.shifted_density_and_grad(x, h * noise.xi)
+        est_vals = c_h / n_mc * val_sums
         est_grads = c_h / n_mc * grad_sums
         # per-probe sample standard deviations give the CLT standard errors
         probe_vals, probe_grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))

@@ -67,7 +67,11 @@ class TestParticleSet:
         with pytest.raises(InvalidArgumentError):
             ParticleSet(positions)
 
-    @pytest.mark.parametrize("positions", [[["a", "b"]], [[0.0, 1.0], [2.0]], [[object()]]])
+    @pytest.mark.parametrize(
+        "positions",
+        [[["a", "b"]], [[0.0, 1.0], [2.0]], [[object()]], [["1.5", "2"]],
+         np.array([["1.5", "2"]]), [[b"1.5", b"2"]], [[1.5, "2"]]],
+    )
     def test_rejects_what_is_not_real_numbers_by_name(self, positions):
         match = "^positions must be an array of real numbers"
         with pytest.raises(InvalidArgumentError, match=match):
@@ -124,19 +128,20 @@ class TestDensityTarget:
         )
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         offsets = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 1.0]])
-        vals, grad_sums = t.shifted_density_and_grad(x, offsets)
-        # probes in i-major order: x_0 + o_0, x_0 + o_1, x_0 + o_2, x_1 + o_0, ...
-        np.testing.assert_array_equal(vals, [21.0, 1.5 + 10.0, 3.0 + 30.0, 43.0, 33.5, 55.0])
+        val_sums, grad_sums = t.shifted_density_and_grad(x, offsets)
+        # particle 0's probes x_0 + o_l have densities 21, 11.5 and 33;
+        # particle 1's 43, 33.5 and 55
+        np.testing.assert_array_equal(val_sums, [21.0 + 11.5 + 33.0, 43.0 + 33.5 + 55.0])
         np.testing.assert_array_equal(grad_sums, [[5.5, -6.0], [11.5, -12.0]])
         # a copy with a new fused evaluation sweeps the new one
         copy = dataclasses.replace(t, density_and_grad=lambda x: (np.ones(len(x)), 2.0 * x))
-        vals, grad_sums = copy.shifted_density_and_grad(x, offsets)
-        np.testing.assert_array_equal(vals, np.ones(6))
+        val_sums, grad_sums = copy.shifted_density_and_grad(x, offsets)
+        np.testing.assert_array_equal(val_sums, [3.0, 3.0])
         np.testing.assert_array_equal(grad_sums, [[11.0, 12.0], [23.0, 24.0]])
 
     def test_given_shifted_evaluation_is_kept(self):
         def shifted(x, offsets):
-            return np.zeros(len(x) * len(offsets)), np.zeros_like(x)
+            return np.zeros(len(x)), np.zeros_like(x)
 
         t = DensityTarget(
             density=lambda x: np.ones(len(x)),

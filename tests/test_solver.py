@@ -93,8 +93,9 @@ class TestMedianPairwiseDistance:
             ([0.0, 1.0, 3.0], r"^points must be a rank-2 array, got shape \(3,\)"),
             (np.zeros((1, 3)), "^number of points must be an integer >= 2, got 1"),
             ([["a", "b"], ["c", "d"]], "^points must be an array of real numbers"),
+            ([["0", "0"], ["3", "4"]], "^points must be an array of real numbers"),
         ],
-        ids=["nan", "inf", "no-columns", "rank-1", "one-point", "strings"],
+        ids=["nan", "inf", "no-columns", "rank-1", "one-point", "strings", "numeric-strings"],
     )
     def test_rejects_what_the_sample_check_rejects(self, points, match):
         with pytest.raises(InvalidArgumentError, match=match):

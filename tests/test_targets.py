@@ -17,6 +17,7 @@ from evi_mmd import (
     star_mixture,
     wave_density,
 )
+from evi_mmd import targets
 from evi_mmd.model import _ProbeSweep
 from evi_mmd.targets import _BLOCK_BYTES, _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
 
@@ -83,6 +84,12 @@ def random_mixture(d, seed, k=4):
 
 def mixture_of(target):
     return target.density_and_grad.__self__
+
+
+def sweep_groups(mixture):
+    """The component indices of each group of the mixture's shifted sweep."""
+    bounds = mixture._bounds
+    return [mixture._order[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
 
 
 ALL_BUILTINS = {
@@ -415,17 +422,18 @@ class TestPointSweep:
 
 
 def probe_path(target, x, offsets):
-    """Density and L-summed gradient through ``density_and_grad`` on the
+    """Density and gradient sums over l through ``density_and_grad`` on the
     (N·L, d) probe matrix: the reference of ``shifted_density_and_grad``."""
     n, d = x.shape
     probes = (x[:, None, :] + offsets[None, :, :]).reshape(-1, d)
     vals, grads = target.density_and_grad(probes)
-    return vals, grads.reshape(n, -1, d).sum(axis=1)
+    return vals.reshape(n, -1).sum(axis=1), grads.reshape(n, -1, d).sum(axis=1)
 
 
 def assert_within_declared_bound(value, ref):
     """|v - r| <= 1e-10 |r| + 1e-11 max|r|: the bound ``GaussianMixture``
-    declares for its shifted sweep against the probe path."""
+    declares for the per-particle sums of its shifted sweep against the probe
+    path."""
     bound = 1e-10 * np.abs(ref) + 1e-11 * np.abs(ref).max(initial=0.0)
     assert value.shape == ref.shape
     assert np.all(np.abs(value - ref) <= bound)
@@ -433,8 +441,11 @@ def assert_within_declared_bound(value, ref):
 
 def assert_matches_probe_path(target, x, offsets):
     """Bitwise for targets that fall back to the probe path, within the
-    declared bound for the mixtures' factored sweep."""
-    vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+    declared bound for the mixtures' factored sweep.  Mixtures raise no
+    floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
     ref_vals, ref_sums = probe_path(target, x, offsets)
     if isinstance(target.shifted_density_and_grad, _ProbeSweep):
         assert vals.tobytes() == ref_vals.tobytes()
@@ -464,9 +475,11 @@ class TestShiftedSweep:
     fallback of other targets."""
 
     # N = 200 with L = 20000 is left out: its reference probe matrix alone
-    # takes 32-320 MB.  L = 20000 still runs at N = 1 and 17.  The wide case
-    # puts particles at scale 4 and offsets at scale 5, about a run's first
-    # bandwidths: far probes whose factored exponents cancel.
+    # takes 32-320 MB.  L = 20000 still runs at N = 1 and 17.  The first wide
+    # case puts particles at scale 4 and offsets at scale 5, about a run's
+    # first bandwidths: far probes whose factored exponents cancel.  At
+    # scales 10 and 20 the eight mixture's group is swept one component at a
+    # time (test_wide_eight_mixture_needs_the_split).
     @pytest.mark.parametrize(
         "n,n_off,x_scale,o_scale",
         [
@@ -474,7 +487,7 @@ class TestShiftedSweep:
             for n, n_off in [(1, 1), (1, 500), (1, 20000), (17, 1), (17, 500), (17, 20000)]
             + [(200, 1), (200, 500)]
         ]
-        + [(200, 500, 4.0, 5.0)],
+        + [(200, 500, 4.0, 5.0), (60, 300, 10.0, 10.0), (60, 300, 20.0, 20.0)],
     )
     @pytest.mark.parametrize("name", sorted(SHIFTED_TARGETS))
     def test_matches_probe_path(self, name, n, n_off, x_scale, o_scale):
@@ -484,7 +497,38 @@ class TestShiftedSweep:
         x = rng.normal(scale=x_scale, size=(n, d))
         offsets = o_scale * rng.normal(size=(n_off, d))
         vals, grad_sums = assert_matches_probe_path(target, x, offsets)
-        assert vals.shape == (n * n_off,) and grad_sums.shape == (n, d)
+        assert vals.shape == (n,) and grad_sums.shape == (n, d)
+
+    @pytest.mark.parametrize("scale", [10.0, 20.0])
+    def test_wide_eight_mixture_needs_the_split(self, monkeypatch, scale):
+        # The wide cases of test_matches_probe_path, which pass with the
+        # split: without it the group's shifted exponentials overflow.
+        mixture = mixture_of(eight_mixture())
+        rng = np.random.default_rng(60 + 300 + 2)
+        x = rng.normal(scale=scale, size=(60, 2))
+        offsets = scale * rng.normal(size=(300, 2))
+        monkeypatch.setattr(targets, "_SHIFT_SPREAD", np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)
+        assert not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grad_sums)))
+
+    @pytest.mark.parametrize(
+        "make,groups",
+        [
+            (eight_mixture, [list(range(8))]),
+            (star_mixture, [[k] for k in range(5)]),
+            (lambda: isotropic_gaussian(3, 1.0), [[0]]),
+        ],
+        ids=["eight", "star", "gaussian3"],
+    )
+    def test_components_grouped_by_covariance(self, make, groups):
+        assert sweep_groups(mixture_of(make())) == groups
+
+    def test_zero_weight_component_joins_no_group(self):
+        cov = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2), np.eye(2)])
+        mixture = GaussianMixture(np.array([0.5, 0.25, 0.0, 0.25]), np.zeros((4, 2)), cov)
+        assert sweep_groups(mixture) == [[0, 3], [1]]
 
     @pytest.mark.parametrize("n_off", [1000, _BLOCK_BYTES // 8 + 1], ids=["blocks", "one-row"])
     def test_row_block_boundary(self, n_off):
@@ -529,10 +573,17 @@ class TestShiftedSweep:
         assert_within_declared_bound(vals, ref_vals)
         assert_within_declared_bound(grad_sums, ref_sums)
 
-    @pytest.mark.parametrize("d", [2, 10])
-    def test_bytes_independent_of_blas_threads(self, d):
-        # The two products per component are BLAS calls, which at d = 10 are
-        # large enough for OpenBLAS to split over threads.  BLAS reads its
+    @pytest.mark.parametrize(
+        "d,shared,n,n_off",
+        [(2, False, 300, 700), (10, False, 300, 700), (2, True, 300, 700), (10, True, 300, 700),
+         (10, True, 17, 20000)],
+        ids=["2", "10", "2-shared", "10-shared", "10-shared-wide"],
+    )
+    def test_bytes_independent_of_blas_threads(self, d, shared, n, n_off):
+        # The two products per group are BLAS calls.  At d = 10, or with four
+        # components sharing a covariance, a whole row block's product would
+        # be large enough for OpenBLAS to split over threads; at L = 20000 so
+        # would one row of a shared group's second product.  BLAS reads its
         # thread count at import, so each count gets a fresh interpreter.
         script = (
             "import hashlib\n"
@@ -543,9 +594,10 @@ class TestShiftedSweep:
             "a = rng.normal(size=(4, d, d))\n"
             "cov = a @ a.transpose(0, 2, 1) / d + 0.5 * np.eye(d)\n"
             "cov = 0.5 * (cov + cov.transpose(0, 2, 1))\n"
+            f"cov = np.repeat(cov[:1], 4, axis=0) if {shared} else cov\n"
             "mixture = GaussianMixture(np.full(4, 0.25), rng.normal(size=(4, d)), cov)\n"
-            "x = rng.normal(scale=2.0, size=(300, d))\n"
-            "offsets = rng.normal(size=(700, d))\n"
+            f"x = rng.normal(scale=2.0, size=({n}, d))\n"
+            f"offsets = rng.normal(size=({n_off}, d))\n"
             "vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)\n"
             "print(hashlib.sha256(vals.tobytes() + grad_sums.tobytes()).hexdigest())\n"
         )
