@@ -14,10 +14,10 @@ Each branch's objective has one implementation, the value-and-gradient
 closure of :func:`density_closures` / :func:`empirical_closures`; the solver
 calls it once per trial point, and every objective value is its value: the
 value closure of each pair, :func:`free_energy` and :func:`grad_free_energy`
-take theirs from it.  It builds each kernel matrix once and, on the density
-branch, makes one call of the target's ``shifted_density_and_grad`` with the
-offsets h * xi: each particle's density and gradient at the N·L probes x_i +
-h xi_l, summed over l.  Mixture targets take both sums from two matrix
+take theirs from it.  On the density branch the closure pair prepares the
+target's ``shifted_sweep`` once with the offsets h * xi, and each call sweeps
+the particles once: each particle's density and gradient at the N·L probes
+x_i + h xi_l, summed over l.  Mixture targets take both sums from two matrix
 products and one exponential per probe for each group of components that
 share a covariance, which agree with the probe matrix within the bound
 stated on :class:`evi_mmd.targets.GaussianMixture`; other targets fall back
@@ -25,8 +25,15 @@ to ``density_and_grad`` on the probe matrix
 (:class:`evi_mmd.model.DensityTarget`).  :func:`cross_term_density` sums the
 same values, so a reported value is exactly what the solver minimises.
 
+The Gaussian square term, on both branches and in :func:`square_term`, comes
+from :func:`evi_mmd.kernels.gaussian_self_sums`: two matrix products per row
+block and no N x N Gram, within the bound stated there.  The cross term of
+the empirical branch builds its particle-batch kernel matrix once per call,
+and the energy distance's square term its Gram matrix.
+
 The gradient of each kernel double sum, sum_ij K(x_i, y_j), is
--sum_j w_ij (x_i - y_j) / c (:func:`evi_mmd.kernels.weighted_differences`):
+-sum_j w_ij (x_i - y_j) / c, from :func:`evi_mmd.kernels.weighted_differences`
+wherever a kernel matrix is built:
 w = K, c = h^2 for the Gaussian kernel; w = 1/|x_i - y_j| (0 on coincident
 pairs), c = 1 for the energy distance, whose gradient entries match the sum
 of unit vectors to 1e-13 of the summed terms' size, sum_j w_ij (|x_i| + |y_j|).
@@ -44,7 +51,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import cross_gram, gram, weighted_differences
+from .kernels import cross_gram, gaussian_self_sums, gram, weighted_differences
 from .model import (
     GAUSSIAN,
     DensityTarget,
@@ -89,9 +96,12 @@ def gaussian_normalizer(dim: int, h: float) -> float:
 
 
 def square_term(particles, kernel: KernelConfig) -> float:
-    """Particle-particle double sum (1/N^2) sum_ij K(x_i, x_j)."""
+    """Particle-particle double sum (1/N^2) sum_ij K(x_i, x_j), the value of
+    the closures' square term."""
     particles = _check_array(particles, "particles", 2)
     n = particles.shape[0]
+    if kernel.kind == GAUSSIAN:
+        return gaussian_self_sums(particles, kernel.bandwidth)[0] / (n * n)
     return float(gram(particles, kernel).sum()) / (n * n)
 
 
@@ -106,26 +116,31 @@ def _check_noise(noise: Optional[McNoise], dim: int) -> McNoise:
     return noise
 
 
-def _cross_term_density_and_grad(
-    x: np.ndarray, target: DensityTarget, h: float, offsets: np.ndarray, n_samples: int
-) -> Tuple[float, np.ndarray]:
-    """:func:`cross_term_density` and its gradient from one call of the
-    target's ``shifted_density_and_grad`` with ``offsets`` = h * xi."""
-    val_sums, grad_sums = target.shifted_density_and_grad(x, offsets)
-    scale = gaussian_normalizer(x.shape[1], h) / n_samples
-    return scale * float(val_sums.sum()), scale * grad_sums
+def _cross_term_sweep(
+    target: DensityTarget, h: float, noise: McNoise
+) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
+    """:func:`cross_term_density` and its gradient as a function of the
+    particles, from the target's ``shifted_sweep`` prepared once with the
+    offsets h * xi."""
+    sweep = target.shifted_sweep(h * noise.xi)
+    scale = gaussian_normalizer(target.dim, h) / noise.n_samples
+
+    def cross_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        val_sums, grad_sums = sweep(x)
+        return scale * float(val_sums.sum()), scale * grad_sums
+
+    return cross_and_grad
 
 
 def cross_term_density(
     particles, target: DensityTarget, h: float, noise: McNoise
 ) -> float:
     """Monte-Carlo cross term sum_i (C_h / L) sum_l rho(x_i + h xi_l), from
-    the same ``shifted_density_and_grad`` values as the density branch's
-    closures."""
+    the same ``shifted_sweep`` values as the density branch's closures."""
     particles = _check_array(particles, "particles", 2)
     h = _check_positive(h, "bandwidth")
     noise = _check_noise(noise, target.dim)
-    return _cross_term_density_and_grad(particles, target, h, h * noise.xi, noise.n_samples)[0]
+    return _cross_term_sweep(target, h, noise)(particles)[0]
 
 
 def cross_term_empirical(particles, batch, kernel: KernelConfig) -> float:
@@ -161,11 +176,16 @@ def _square_term_and_grad(
     particles: np.ndarray, kernel: KernelConfig
 ) -> Tuple[float, np.ndarray]:
     """:func:`square_term` and its gradient, whose row i is
-    (2/N^2) sum_j d/dx_i K(x_i, x_j)."""
+    (2/N^2) sum_j d/dx_i K(x_i, x_j).  The Gaussian kernel's sums come from
+    :func:`evi_mmd.kernels.gaussian_self_sums`, within its declared bound;
+    the negative-Euclidean kernel's from the Gram matrix."""
     n = particles.shape[0]
-    total, weighted, c = _kernel_sum_and_grad(
-        particles, particles, gram(particles, kernel), kernel
-    )
+    if kernel.kind == GAUSSIAN:
+        (total, weighted), c = gaussian_self_sums(particles, kernel.bandwidth), kernel.bandwidth**2
+    else:
+        total, weighted, c = _kernel_sum_and_grad(
+            particles, particles, gram(particles, kernel), kernel
+        )
     return total / (n * n), -2.0 / (n * n * c) * weighted
 
 
@@ -177,18 +197,18 @@ def density_closures(
     target: DensityTarget, kernel: KernelConfig, noise: McNoise
 ) -> Tuple[ValueFn, ValueGradFn]:
     """Value and value+gradient closures over the particle matrix for the
-    density branch.  The value+gradient closure makes one call of the
-    target's ``shifted_density_and_grad`` with the offsets h * xi, scaled once
-    per closure, and builds the Gram matrix once; the value closure returns
-    its value."""
+    density branch.  The target's ``shifted_sweep`` is prepared once per
+    closure pair, with the offsets h * xi; each value+gradient call makes one
+    sweep of the particles and one square-term pass.  The value closure
+    returns its value."""
     h = _require_density_kernel(kernel)
     noise = _check_noise(noise, target.dim)
-    offsets = h * noise.xi
+    cross_and_grad = _cross_term_sweep(target, h, noise)
 
     def value_and_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        cross, cross_grad = _cross_term_density_and_grad(x, target, h, offsets, noise.n_samples)
+        cross, cross_grad = cross_and_grad(x)
         square, square_grad = _square_term_and_grad(x, kernel)
         return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 
@@ -199,8 +219,9 @@ def empirical_closures(
     batch: np.ndarray, kernel: KernelConfig
 ) -> Tuple[ValueFn, ValueGradFn]:
     """Value and value+gradient closures for the empirical branch with one
-    fixed mini-batch.  The value+gradient closure builds the Gram and the
-    particle-batch matrix once each; the value closure returns its value."""
+    fixed mini-batch.  The value+gradient closure builds the particle-batch
+    matrix once and makes one square-term pass (the negative-Euclidean
+    kernel's builds the Gram once); the value closure returns its value."""
     batch = _check_sample(batch, "mini-batch")
     m = batch.shape[0]
 

@@ -11,7 +11,18 @@ in the hundreds, so O(N^2 d) is fine.  (The evaluation metrics sum the
 thousands-row reference Gram block by block instead, through
 :func:`_squared_distances_into` and :func:`_kernel_from_squared`.)
 
-The Gaussian kernel's exponentials go through :func:`_exp_inplace`, which
+The free energy's Gaussian square term is the exception to the coordinate
+sweep: :func:`gaussian_self_sums` takes the kernel sum over one point cloud
+and its gradient rows from two matrix products per row block, without an
+N x N Gram, within the bound stated there rather than byte for byte.  Its
+row blocks, like those of the mixtures' shifted sweep, keep every product at
+most ``_SERIAL_PRODUCT`` multiply-adds, so its bytes do not depend on the
+BLAS thread count, and both drop exponentials below exp(-707) with
+:func:`_exp_dropping_tiny`.  The negative-Euclidean kernel keeps the sweep:
+its square root would turn the product form's cancellation into large
+relative errors at close pairs.
+
+The Gaussian Gram matrices' exponentials go through :func:`_exp_inplace`, which
 returns the bytes of ``np.exp`` but keeps arguments below -708 out of its
 vector loop: there ``np.exp`` takes a scalar path 20-150x slower per entry,
 and at small bandwidths most Gram entries land there.  Arguments below -750,
@@ -20,10 +31,13 @@ exponentiated on its own (``tests/test_kernels.py`` checks the bytes and the
 +0.0 threshold of the installed numpy).
 
 Every free-energy kernel-sum gradient has the one form
-sum_j w_ij (x_i - y_j), computed by :func:`weighted_differences`.
+sum_j w_ij (x_i - y_j): from a kernel matrix by :func:`weighted_differences`,
+and for the Gaussian square term by :func:`gaussian_self_sums`.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +52,18 @@ _CHUNK = 256
 # +0.0 (numpy's own zero threshold is -745.13).
 _EXP_FAST_MIN = -708.0
 _EXP_ZERO_BELOW = -750.0
+
+# Most multiply-adds of one matrix product in a factored sweep (the Gaussian
+# square term here, the mixtures' shifted sweep in ``targets``).  OpenBLAS
+# runs a product of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default)
+# of them on one thread; a larger one may be split over threads, and its
+# bytes then depend on their number.
+_SERIAL_PRODUCT = 1 << 18
+# The factored sweeps set to 0 each exponential whose exponent is below
+# _EXP_KEEP_MIN: such a term is below exp(-707), about 9.1e-308.  Below about
+# -707.78 np.exp leaves its vector loop, and its subnormal results slow the
+# sums that follow.
+_EXP_KEEP_MIN = -707.0
 
 
 def gauss_eval(x, y, h) -> float:
@@ -169,6 +195,20 @@ def _kernel_from_squared(
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 
+def _exp_dropping_tiny(z: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(z) in place, with the entries below _EXP_KEEP_MIN set to 0.
+
+    ``keep``, a boolean array shaped like ``z``, is the scratch for the mask.
+    Clamping those entries to _EXP_KEEP_MIN keeps np.exp in its vector loop,
+    and a multiply by the mask is branch-free where a masked copy is not."""
+    if z.size == 0 or z.min() >= _EXP_KEEP_MIN:
+        return np.exp(z, out=z)
+    keep = np.greater_equal(z, _EXP_KEEP_MIN, out=keep)
+    np.maximum(z, _EXP_KEEP_MIN, out=z)
+    np.exp(z, out=z)
+    return np.multiply(z, keep, out=z)
+
+
 # K(x, x) as ``gram`` writes it.
 _GRAM_DIAGONAL = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: 0.0}
 
@@ -195,3 +235,51 @@ def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndar
 
     The free-energy gradients' bytes depend on this summation order."""
     return x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, y)
+
+
+def gaussian_self_sums(points: np.ndarray, bandwidth: float) -> Tuple[float, np.ndarray]:
+    """The Gaussian kernel sum sum_ij K(x_i, x_j) over one point cloud and
+    the rows sum_j K(x_i, x_j) (x_i - x_j), without an N x N Gram.
+
+    With the points centred on their mean, x~ = x - m, u = x~ / h and s_i =
+    |u_i|^2 / 2, the exponent -|x_i - x_j|^2 / 2h^2 is u_i . u_j - s_i - s_j.
+    Per row block, one product [u | -s | 1] @ [u | 1 | -s]^T gives the
+    exponents, clamped at <= 0 with the diagonal set to exactly 0, one
+    exponential per entry gives the kernel values k, those below exp(-707)
+    set to 0, and a second product k @ [1 | x~] gives the row sums r_i and
+    sum_j k_ij x~_j, so that row i is x~_i r_i - sum_j k_ij x~_j.  A single
+    point gives exactly 1.0 and a zero row.
+
+    Declared bound: with S_ij = (|x~_i|^2 + |x~_j|^2) / 2h^2, eps the float
+    spacing at 1 and E_ij = eps ((2d + 8)(1 + S_ij) + 2N + 4) K_ij +
+    exp(-706), the sum is within sum_ij E_ij of the exact sum over the input
+    floats, and entry (i, a) of the rows within sum_j E_ij (|x~_ia| +
+    |x~_ja|) of the exact one (``tests/test_kernels.py``).  The (1 + S_ij)
+    part covers the rounding of the exponents, whose terms grow with S_ij
+    while the kernel value does not; the 2N part covers the sums over j and
+    i.  Centring keeps S_ij at the cloud's own scale wherever it lies.  The
+    bound needs S_ij to be finite; points whose |x~| / h overflows when
+    squared give NaN.  Row blocks keep each product at most _SERIAL_PRODUCT
+    multiply-adds, so the bytes do not depend on the BLAS thread count.
+    """
+    n, d = points.shape
+    centred = points - points.mean(axis=0)
+    scaled = centred / bandwidth
+    half_sq = 0.5 * np.einsum("nd,nd->n", scaled, scaled)
+    ones = np.ones(n)
+    left = np.column_stack([scaled, -half_sq, ones])
+    right = np.column_stack([scaled, ones, -half_sq])
+    weights = np.column_stack([ones, centred])
+    sums = np.empty((n, d + 1))
+    rows = max(1, _SERIAL_PRODUCT // max(1, n * (d + 2)))
+    block = np.empty((min(rows, n), n))
+    keep = np.empty(block.shape, dtype=bool)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        e = block[: stop - start]
+        np.matmul(left[start:stop], right.T, out=e)
+        np.minimum(e, 0.0, out=e)
+        e.reshape(-1)[start :: n + 1] = 0.0
+        _exp_dropping_tiny(e, keep[: stop - start])
+        np.matmul(e, weights, out=sums[start:stop])
+    return float(sums[:, 0].sum()), centred * sums[:, :1] - sums[:, 1:]

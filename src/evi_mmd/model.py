@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from typing import Callable, Optional, Tuple
 
@@ -32,7 +33,10 @@ def _check_array(values, name: str, ndim: int) -> np.ndarray:
     it holds only real numbers, has rank ``ndim`` and only finite entries."""
     try:
         arr = np.asarray(values)
-        real = arr.dtype.kind not in "SU"  # numpy would parse "1.5" as a float
+        # numpy would parse "1.5" as a float, in a string or an object array
+        real = arr.dtype.kind not in "SU" and not (
+            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        )
         arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError):  # ragged nesting, other objects
         real = False
@@ -114,6 +118,11 @@ class ParticleSet:
         return self.positions.shape[1]
 
 
+# The particles' sweep of a prepared shifted evaluation: (N, d) particles to
+# (N,) density sums and (N, d) gradient sums over the offsets.
+ShiftedSums = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class DensityTarget:
     """A fully specified target distribution.
@@ -126,17 +135,19 @@ class DensityTarget:
     fused evaluation the samplers call; it must agree with the two separate
     callables, and when it is not given it calls them one after the other.
 
-    ``shifted_density_and_grad`` (x, offsets) -> (val_sums, grad_sums) is
-    the density-branch cross term's evaluation: for N particles x (N, d) and
-    L offsets (L, d) it returns, for each particle, the sum over l of the
+    ``shifted_sweep`` is the density-branch cross term's evaluation, in two
+    stages: ``shifted_sweep(offsets)``, for L offsets (L, d), prepares what
+    depends on the offsets alone and returns ``sweep``; ``sweep(x)``, for N
+    particles x (N, d), returns for each particle the sum over l of the
     density at the probes x_i + o_l, (N,), and the sum over l of their
-    gradients, (N, d).  When it is not given it builds the (N·L, d) probe
-    matrix in i-major order, calls ``density_and_grad`` on it and sums both
-    outputs over l with ``reshape(N, L, ...).sum(axis=1)``; a given one must
-    agree with that (the mixtures' within the bound stated on
-    :class:`evi_mmd.targets.GaussianMixture`).
-    Both reject offsets that are not L x d with L >= 1 and particles whose d
-    is not the target's.
+    gradients, (N, d).  The objective prepares once per closure and sweeps
+    once per evaluation.  When it is not given, ``sweep`` builds the (N·L, d)
+    probe matrix in i-major order, calls ``density_and_grad`` on it and sums
+    both outputs over l with ``reshape(N, L, ...).sum(axis=1)``; a given one
+    must agree with that (the mixtures' within the bound stated on
+    :class:`evi_mmd.targets.GaussianMixture`).  Preparing rejects offsets
+    that are not L x d with L >= 1, and sweeping particles whose d is not the
+    target's.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -146,9 +157,7 @@ class DensityTarget:
     density_and_grad: Optional[
         Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     ] = None
-    shifted_density_and_grad: Optional[
-        Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    ] = None
+    shifted_sweep: Optional[Callable[[np.ndarray], ShiftedSums]] = None
 
     def __post_init__(self):
         lower = _frozen_array(self.domain_box[0], "domain_box lower", ndim=1)
@@ -166,10 +175,8 @@ class DensityTarget:
         if self.density_and_grad is None or isinstance(self.density_and_grad, _Separate):
             fused = _Separate(self.density, self.grad_density)
             object.__setattr__(self, "density_and_grad", fused)
-        shifted = self.shifted_density_and_grad
-        if shifted is None or isinstance(shifted, _ProbeSweep):
-            shifted = _ProbeSweep(self.density_and_grad, self.dim)
-            object.__setattr__(self, "shifted_density_and_grad", shifted)
+        if self.shifted_sweep is None or isinstance(self.shifted_sweep, _ProbeSweep):
+            object.__setattr__(self, "shifted_sweep", _ProbeSweep(self.density_and_grad, self.dim))
 
     @property
     def dim(self) -> int:
@@ -187,17 +194,23 @@ class _Separate:
         return self.density(x), self.grad_density(x)
 
 
-def _check_shifts(x, offsets, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Particles (N, dim) and offsets (L, dim), L >= 1, as float arrays."""
-    x = np.asarray(x, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
+def _check_offsets(offsets, dim: int) -> np.ndarray:
+    """A float copy of ``offsets``, in their memory order, once they are
+    L x dim with L >= 1."""
+    offsets = np.array(offsets, dtype=float)
     if offsets.ndim != 2 or offsets.shape[0] < 1 or offsets.shape[1] != dim:
         raise InvalidArgumentError(
             f"offsets must be L x {dim} with L >= 1, got shape {offsets.shape}"
         )
+    return offsets
+
+
+def _check_particles(x, dim: int) -> np.ndarray:
+    """Particles (N, dim) as a float array."""
+    x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != dim:
         raise InvalidArgumentError(f"particles must be n x {dim}, got shape {x.shape}")
-    return x, offsets
+    return x
 
 
 def _shifted_probes(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -207,14 +220,17 @@ def _shifted_probes(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ProbeSweep:
-    """A shifted density-and-gradient evaluation made of ``density_and_grad``
-    on the probe matrix."""
+    """A shifted sweep made of ``density_and_grad`` on the probe matrix; it
+    prepares only its checked copy of the offsets."""
 
     density_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     dim: int
 
-    def __call__(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
-        x, offsets = _check_shifts(x, offsets, self.dim)
+    def __call__(self, offsets) -> ShiftedSums:
+        return partial(self._sums, _check_offsets(offsets, self.dim))
+
+    def _sums(self, offsets: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
+        x = _check_particles(x, self.dim)
         (n, d), n_off = x.shape, offsets.shape[0]
         vals, grads = self.density_and_grad(_shifted_probes(x, offsets))
         # C order first: a strided reshape of a Fortran-ordered gradient would

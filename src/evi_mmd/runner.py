@@ -10,9 +10,10 @@ default execution path.
 
 :func:`run_experiment` alone writes a run's files, each as soon as it exists:
 the config echo before the first iteration, each snapshot when the loop
-reaches it, and the run record at the end or, on a numerical failure, the
-partial record before the error propagates.  It looks up the run functions,
-target builders and evaluator in this module's globals at each call.
+reaches it, and the run record at the end or, on a numerical failure or an
+``OSError`` while writing a snapshot, the partial record before the error
+propagates.  It looks up the run functions, target builders and evaluator in
+this module's globals at each call.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute a config and write its files into ``cfg.out_dir`` (see the
     module docstring).  Returns 0; failures raise and are mapped to exit codes
     by the CLI.  Writing a partial record sets ``partial_record_path`` (or
-    ``partial_record_error``) on the :class:`NumericalFailureError`.
+    ``partial_record_error``) on the :class:`NumericalFailureError`, or on
+    the ``OSError`` a snapshot write raised.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     target, density = build_targets(cfg)
@@ -157,8 +159,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             _, record = lmc_run(target, lmc_schedule, cfg.max_iter, noise_rng, init, **loop)
         else:
             raise InvalidArgumentError(f"unknown method {cfg.method!r}")
-    except NumericalFailureError as exc:
-        if exc.partial_record is not None:
+    except (NumericalFailureError, OSError) as exc:
+        # A snapshot's OSError carries the rows recorded before it.
+        if getattr(exc, "partial_record", None) is not None:
             try:
                 io_csv.write_run_record(exc.partial_record, record_path)
             except (EviMmdError, OSError) as write_exc:

@@ -307,7 +307,8 @@ def run_loop(
     :class:`IterationInfo`.  A step's :class:`NumericalFailureError`, or a
     step that returns non-finite particles, raises
     :class:`NumericalFailureError` with the particles that step started from
-    and the rows so far.
+    and the rows so far.  An ``OSError`` from ``on_iteration`` (a snapshot
+    write, say) propagates with the rows so far as its ``partial_record``.
     With zero iterations the initial particles are returned unchanged.
     """
     max_iter = _check_count(max_iter, "max_iter", 0)
@@ -344,7 +345,11 @@ def run_loop(
             )
             recorded = info.particles
         if on_iteration is not None:
-            on_iteration(info)
+            try:
+                on_iteration(info)
+            except OSError as exc:
+                exc.partial_record = RunRecord(tuple(rows))
+                raise
         particles = info.particles
     return ParticleSet(particles, iteration=max_iter), RunRecord(tuple(rows))
 

@@ -7,18 +7,29 @@ A mixture evaluates points with plain ufunc arithmetic and the N·L probes of
 the density-branch cross term with two matrix products and one exponential
 per probe for each group of components that share a covariance; the probes'
 per-particle sums agree with the point evaluation within a declared bound
-(:class:`GaussianMixture`).
+(:class:`GaussianMixture`).  That sweep comes in two stages: what depends on
+the offsets alone is prepared once, and each sweep of the particles reuses
+it byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import DensityTarget, _check_count, _check_positive, _check_shifts, _frozen_array
+from .kernels import _SERIAL_PRODUCT, _exp_dropping_tiny
+from .model import (
+    DensityTarget,
+    ShiftedSums,
+    _check_count,
+    _check_offsets,
+    _check_particles,
+    _check_positive,
+    _frozen_array,
+)
 
 _WEIGHT_TOL = 1e-12
 # Points per pass of the point sweep: the pass's (d, rows) scratch buffers
@@ -31,16 +42,6 @@ _SWEEP_ROWS = 8192
 # star mixture in about 1.9 ms, 64 KiB blocks in 2.5 ms and 1 MiB blocks (all
 # 200 rows) in 2.0 ms.
 _BLOCK_BYTES = 1 << 18
-# Most multiply-adds of one of the shifted sweep's second products, whose
-# width grows with a group's size.  OpenBLAS runs a product of at most 65536
-# * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread; a larger
-# one may be split over threads, and its bytes then depend on their number.
-_SERIAL_PRODUCT = 1 << 18
-# The shifted sweep sets to 0 each exponential, and each factor of one,
-# whose exponent is below _EXP_KEEP_MIN: such a term is below exp(-707),
-# about 9.1e-308.  Below about -707.78 np.exp leaves its vector loop, and its
-# subnormal results slow the sums that follow.
-_EXP_KEEP_MIN = -707.0
 # A group's shifted exponentials are at most exp(max_k log norm_k +
 # min(a_spread, c_spread)), where a_spread = max_i (max_k a_ik - min_k a_ik)
 # and c_spread = max_l (max_k c_kl - min_k c_kl).  Where that bound exceeds
@@ -68,16 +69,19 @@ class GaussianMixture:
     einsum groups those sums differently, and the two agree to rtol 1e-13
     (``tests/test_targets.py``).
 
-    :meth:`shifted_density_and_grad` is the density-branch cross term's
-    evaluation.  It groups the components by bitwise-equal covariance once,
-    at construction (a zero-weight component joins no group), factors each
-    exponent at the probes x_i + o_l into a particle part, a cross part and
-    an offset part, and sweeps each group with two BLAS matrix products and
-    one exponential per probe, without building the probes.  It does not
-    return the bytes of :meth:`density_and_grad` on the probe matrix followed
-    by sums over l; each per-particle density sum and gradient sum v agrees
-    with that reference r within |v - r| <= 1e-10 |r| + 1e-11 max|r|, the
-    maximum taken over all density sums or over all gradient sums.  Terms
+    :meth:`shifted_sweep` is the density-branch cross term's evaluation,
+    prepared once for a set of offsets and then called on the particles.  The
+    mixture groups the components by bitwise-equal covariance once, at
+    construction (a zero-weight component joins no group), and indexes their
+    means, precisions and log norms in group order there.  The sweep factors
+    each exponent at the probes x_i + o_l into a particle part, a cross part
+    and an offset part, the last prepared with the offsets, and sweeps each
+    group with two BLAS matrix products and one exponential per probe,
+    without building the probes.  It does not return the bytes of
+    :meth:`density_and_grad` on the probe matrix followed by sums over l;
+    each per-particle density sum and gradient sum v agrees with that
+    reference r within |v - r| <= 1e-10 |r| + 1e-11 max|r|, the maximum
+    taken over all density sums or over all gradient sums.  Terms
     below exp(-707), about 9.1e-308, are dropped, and so are terms below
     about 3e-47 whose factored parts underflow (``_SHIFT_SPREAD``).  Its
     bytes do not depend on the memory layout of its inputs or on the BLAS
@@ -128,14 +132,22 @@ class GaussianMixture:
         # group bounds in it, each group's center m (the mean of its means,
         # so that a group far from the origin keeps its exponents' rounding at
         # the scale of x - m) and each component's (mu_k - m) P.
+        # The live components' means, precisions and log norms in that order,
+        # and each group's precision, are indexed once here.
         sizes = [g.size for g in groups]
         order = np.concatenate(groups) if groups else np.empty(0, dtype=int)
+        bounds = np.cumsum([0] + sizes).tolist()
         centers = np.array([mu[g].mean(axis=0) for g in groups]).reshape(-1, d)
         centered = mu[order] - np.repeat(centers, sizes, axis=0)
+        live_inv = inv[order]
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_bounds", np.cumsum([0] + sizes).tolist())
+        object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_center_pull", np.einsum("kd,kde->ke", centered, inv[order]))
+        object.__setattr__(self, "_center_pull", np.einsum("kd,kde->ke", centered, live_inv))
+        object.__setattr__(self, "_live_means", mu[order])
+        object.__setattr__(self, "_live_inv", live_inv)
+        object.__setattr__(self, "_live_log_norm", np.log(norm[order]))
+        object.__setattr__(self, "_group_inv", live_inv[bounds[:-1]])
 
     @property
     def n_components(self) -> int:
@@ -198,101 +210,118 @@ class GaussianMixture:
     def density_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self._at_points(x, with_grad=True)
 
-    def shifted_density_and_grad(self, x, offsets) -> Tuple[np.ndarray, np.ndarray]:
-        """(N,) sums over l of the density at the N·L probes x_i + o_l and
-        (N, d) sums over l of their gradients, without an (N·L, d) probe
-        matrix.
+    def shifted_sweep(self, offsets) -> ShiftedSums:
+        """The sweep over particles x of the (N,) sums over l of the density
+        at the N·L probes x_i + o_l and the (N, d) sums over l of their
+        gradients, without an (N·L, d) probe matrix, with the offsets' parts
+        prepared here once (:class:`_PreparedShifts`)."""
+        return _PreparedShifts(self, _check_offsets(offsets, self.dim))
 
-        For a group of components with one precision P and center m, the
-        mean of their means, component k's log-density at a probe is a_ik +
-        G_il + c_kl, where delta_ik = x_i - mu_k, a_ik = -delta_ik P delta_ik
-        / 2 + log norm_k, G_il = -(x_i - m) P o_l and c_kl = (mu_k - m) P o_l
-        - o_l P o_l / 2.  With alpha_i = max_k a_ik and gamma_l = max_k c_kl,
-        the term is E_a,ik e_il E_c,kl, where E_a = exp(a - alpha), E_c =
-        exp(c - gamma) and e_il = exp(G_il + alpha_i + gamma_l).  Per row
-        block, one product [-(x - m) P | alpha | 1] @ [O | 1 | gamma]^T gives
-        the exponents of e, one exponential per probe gives e, and a second
-        product, e @ [E_c^T | E_c^T o], gives T_ik = sum_l e_il E_c,kl and
-        U_ik = sum_l e_il E_c,kl o_l.  The density sums are sum_k E_a,ik T_ik
-        and the gradient sums -sum_k E_a,ik (T_ik delta_ik + U_ik) P.  A
-        group whose shifts could underflow a factor is swept one component at
-        a time (``_SHIFT_SPREAD``), with E_a = E_c = 1.
-        """
-        x, offsets = _check_shifts(x, offsets, self.dim)
-        x, offsets = np.ascontiguousarray(x), np.ascontiguousarray(offsets)
-        (n, d), n_off, order, bounds = x.shape, offsets.shape[0], self._order, self._bounds
-        if order.size == 0:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return mixture_sampler(self, n, rng)
+
+
+class _PreparedShifts:
+    """A mixture's shifted sweep with the offsets' parts prepared once.
+
+    For a group of components with one precision P and center m, the mean of
+    their means, component k's log-density at a probe is a_ik + G_il + c_kl,
+    where delta_ik = x_i - mu_k, a_ik = -delta_ik P delta_ik / 2 + log
+    norm_k, G_il = -(x_i - m) P o_l and c_kl = (mu_k - m) P o_l - o_l P o_l
+    / 2.  With alpha_i = max_k a_ik and gamma_l = max_k c_kl, the term is
+    E_a,ik e_il E_c,kl, where E_a = exp(a - alpha), E_c = exp(c - gamma) and
+    e_il = exp(G_il + alpha_i + gamma_l).  Per row block, one product
+    [-(x - m) P | alpha | 1] @ [O | 1 | gamma]^T gives the exponents of e,
+    one exponential per probe gives e, and a second product, e @ [E_c^T |
+    E_c^T o], gives T_ik = sum_l e_il E_c,kl and U_ik = sum_l e_il E_c,kl
+    o_l.  The density sums are sum_k E_a,ik T_ik and the gradient sums
+    -sum_k E_a,ik (T_ik delta_ik + U_ik) P.
+
+    A group whose shifts could underflow a factor is swept one component at
+    a time (``_SHIFT_SPREAD``); that test reads a, so it is made per sweep.
+    The offsets' parts are therefore prepared in both layouts: c and its
+    spread per group, and for whole groups gamma, E_c, [O | 1 | gamma] and
+    [E_c^T | E_c^T o]; for one component, gamma = c_k and E_c = 1 exactly,
+    so [O | 1 | c_k] and [1 | o].  Each sweep returns the bytes of a sweep
+    that prepares afresh.
+    """
+
+    def __init__(self, mixture: GaussianMixture, offsets: np.ndarray):
+        offsets = np.ascontiguousarray(offsets)
+        (n_off, d), bounds = offsets.shape, mixture._bounds
+        n_live = mixture._order.size
+        c = mixture._center_pull @ offsets.T
+        c -= 0.5 * np.einsum("kld,ld->kl", offsets @ mixture._live_inv, offsets)
+        gamma = np.maximum.reduceat(c, bounds[:-1]) if n_live else c
+        e_c = _exp_dropping_tiny(c - gamma.repeat(np.diff(bounds), axis=0))
+
+        def right_with(last: np.ndarray) -> np.ndarray:
+            # Row p is [O | 1 | last_p].
+            right = np.empty((last.shape[0], n_off, d + 2))
+            right[..., :d] = offsets
+            right[..., d] = 1.0
+            right[..., d + 1] = last
+            return right
+
+        # Component k's columns of the weights are k (d+1) to (k+1) (d+1).
+        weights = np.empty((n_off, n_live, d + 1))
+        weights[..., 0] = e_c.T
+        np.multiply(e_c.T[..., None], offsets[:, None, :], out=weights[..., 1:])
+        self._mixture = mixture
+        self._spread = [np.ptp(c[lo:hi], axis=0).max() for lo, hi in zip(bounds, bounds[1:])]
+        # Group g's row of ``_right`` and component k's of ``_right_one``.
+        self._right, self._right_one = right_with(gamma), right_with(c)
+        self._weights = weights.reshape(n_off, -1)
+        self._weights_one = np.tile(np.column_stack([np.ones(n_off), offsets]), n_live)
+
+    def __call__(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        mixture = self._mixture
+        x = np.ascontiguousarray(_check_particles(x, mixture.dim))
+        (n, d), n_off, bounds = x.shape, self._weights.shape[0], mixture._bounds
+        n_live, inv, log_norm = mixture._order.size, mixture._live_inv, mixture._live_log_norm
+        if n_live == 0:
             return np.zeros(n), np.zeros((n, d))
-        inv, log_norm = self._inv[order], np.log(self._norm[order])
-        diff = x - self.means[order][:, None, :]
+        diff = x - mixture._live_means[:, None, :]
         a = -0.5 * np.einsum("knd,knd->kn", diff, diff @ inv) + log_norm[:, None]
-        c = self._center_pull @ offsets.T
-        c -= 0.5 * np.einsum("kld,ld->kl", offsets @ inv, offsets)
         # The sweep's parts: whole groups, and each component of a group
         # whose shifted exponentials could exceed exp(_SHIFT_SPREAD).
-        parts, part_groups = [], []
+        parts, part_groups, one = [], [], []
         for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             wide = hi - lo > 1 and log_norm[lo:hi].max() + min(
-                np.ptp(a[lo:hi], axis=0).max(initial=0.0), np.ptp(c[lo:hi], axis=0).max()
+                np.ptp(a[lo:hi], axis=0).max(initial=0.0), self._spread[g]
             ) > _SHIFT_SPREAD
             starts = range(lo, hi) if wide else [lo]
             parts += starts
             part_groups += [g] * len(starts)
-        cuts = parts + [order.size]
-        part_sizes = np.diff(cuts)
+            one += [wide] * len(starts)
+        cuts = parts + [n_live]
         alpha = np.maximum.reduceat(a, parts)
-        gamma = np.maximum.reduceat(c, parts)
-        e_a = _exp_dropping_tiny(a - alpha.repeat(part_sizes, axis=0))
-        e_c = _exp_dropping_tiny(c - gamma.repeat(part_sizes, axis=0))
+        e_a = _exp_dropping_tiny(a - alpha.repeat(np.diff(cuts), axis=0))
         left = np.empty((len(parts), n, d + 2))
-        left[..., :d] = ((self._centers[:, None, :] - x) @ inv[bounds[:-1]])[part_groups]
+        left[..., :d] = ((mixture._centers[:, None, :] - x) @ mixture._group_inv)[part_groups]
         left[..., d] = alpha
         left[..., d + 1] = 1.0
-        right = np.empty((len(parts), n_off, d + 2))
-        right[..., :d] = offsets
-        right[..., d] = 1.0
-        right[..., d + 1] = gamma
-        # Component k's columns of weights and sums are k (d+1) to (k+1) (d+1).
-        weights = np.empty((n_off, order.size, d + 1))
-        weights[..., 0] = e_c.T
-        np.multiply(e_c.T[..., None], offsets[:, None, :], out=weights[..., 1:])
-        weights = weights.reshape(n_off, -1)
-        sums = np.empty((n, weights.shape[1]))
+        sums = np.empty((n, n_live * (d + 1)))
         # Rows per block, and components per second product (_SERIAL_PRODUCT).
         rows = max(1, _BLOCK_BYTES // (8 * n_off))
         step = max(1, _SERIAL_PRODUCT // (rows * n_off * (d + 1)))
         block = np.empty((min(rows, n), n_off))
         keep = np.empty(block.shape, dtype=bool)
         for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            right = self._right_one[lo] if one[p] else self._right[part_groups[p]]
+            weights = self._weights_one if one[p] else self._weights
             for start in range(0, n, rows):
                 stop = min(start + rows, n)
                 e = block[: stop - start]
-                np.matmul(left[p, start:stop], right[p].T, out=e)
+                np.matmul(left[p, start:stop], right.T, out=e)
                 _exp_dropping_tiny(e, keep[: stop - start])
                 for k in range(lo, hi, step):
                     cols = slice(k * (d + 1), min(k + step, hi) * (d + 1))
                     np.matmul(e, weights[:, cols], out=sums[start:stop, cols])
-        sums = sums.reshape(n, order.size, d + 1)
+        sums = sums.reshape(n, n_live, d + 1)
         weighted = e_a.T * sums[..., 0]
         pulled_sums = weighted[..., None] * diff.transpose(1, 0, 2) + e_a.T[..., None] * sums[..., 1:]
         return weighted.sum(axis=1), -np.einsum("nkd,kde->ne", pulled_sums, inv)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return mixture_sampler(self, n, rng)
-
-
-def _exp_dropping_tiny(z: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(z) in place, with the entries below _EXP_KEEP_MIN set to 0.
-
-    ``keep``, a boolean array shaped like ``z``, is the scratch for the mask.
-    Clamping those entries to _EXP_KEEP_MIN keeps np.exp in its vector loop,
-    and a multiply by the mask is branch-free where a masked copy is not."""
-    if z.size == 0 or z.min() >= _EXP_KEEP_MIN:
-        return np.exp(z, out=z)
-    keep = np.greater_equal(z, _EXP_KEEP_MIN, out=keep)
-    np.maximum(z, _EXP_KEEP_MIN, out=z)
-    np.exp(z, out=z)
-    return np.multiply(z, keep, out=z)
 
 
 def mixture_sampler(target: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -313,7 +342,7 @@ def _target_from_mixture(mixture: GaussianMixture, box: Tuple[float, float]) -> 
         domain_box=(lower, upper),
         exact_sampler=mixture.sample,
         density_and_grad=mixture.density_and_grad,
-        shifted_density_and_grad=mixture.shifted_density_and_grad,
+        shifted_sweep=mixture.shifted_sweep,
     )
 
 

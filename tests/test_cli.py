@@ -148,6 +148,22 @@ class TestRunCommand:
         )
         assert main(["run", str(cfg_path)]) == EXIT_DATA
 
+    def test_snapshot_write_failure_keeps_the_recorded_rows(self, tmp_path, capsys):
+        # A directory where the svgd run's second snapshot goes: its write
+        # fails after rows 1 and 2 are recorded, and those rows are written.
+        blocker = tmp_path / "out" / "particles_iter000002.csv"
+        blocker.mkdir(parents=True)
+        cfg_path = write_cfg(
+            tmp_path, method="svgd", bandwidth=0.5, eta0=0.1, metrics_stride=1, maxIter=4
+        )
+        assert main(["run", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno 21] Is a directory: '{blocker}'\n"
+        record = read_run_record_csv(str(tmp_path / "out" / "run_record.csv"))
+        assert [r.n for r in record.rows] == [1, 2]
+        assert blocker.is_dir() and list(blocker.iterdir()) == []
+        assert not (tmp_path / "out" / "particles_iter000004.csv").exists()
+
     def test_strict_deterministic_flag_accepted(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "strict"

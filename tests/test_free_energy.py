@@ -16,10 +16,12 @@ from evi_mmd import (
     InvalidArgumentError,
     KernelConfig,
     McNoise,
+    SolverConfig,
     UnsupportedOperationError,
     cross_term_density,
     cross_term_empirical,
     eight_mixture,
+    evi_mmd_run,
     explicit_euler_mmd_run,
     free_energy,
     gauss_eval,
@@ -31,6 +33,7 @@ from evi_mmd import (
 )
 from evi_mmd.free_energy import (
     _kernel_sum_and_grad,
+    _square_term_and_grad,
     density_closures,
     empirical_closures,
     gaussian_normalizer,
@@ -308,7 +311,7 @@ SINGLE_PATH_TARGETS = {
 class TestSingleValuePath:
     """Every objective value comes from the branch's value-and-gradient
     closure: on the density branch, from the target's
-    ``shifted_density_and_grad``, never from ``density``."""
+    ``shifted_sweep``, never from ``density``."""
 
     @pytest.mark.parametrize(
         "call",
@@ -373,8 +376,44 @@ class TestSingleValuePath:
         assert value_fn(x).hex() == vg_fn(x)[0].hex()
 
 
+class TestPreparedSweep:
+    """The density objective prepares the target's shifted sweep once per
+    closure pair, that is once per outer iteration, however many
+    evaluations follow."""
+
+    @staticmethod
+    def _counting(target):
+        prepared = []
+
+        def shifted_sweep(offsets):
+            prepared.append(offsets)
+            return target.shifted_sweep(offsets)
+
+        return dataclasses.replace(target, shifted_sweep=shifted_sweep), prepared
+
+    @pytest.mark.parametrize("make", [eight_mixture, wave_density], ids=["mixture", "fallback"])
+    def test_one_prepare_per_closure(self, make):
+        target, prepared = self._counting(make())
+        rng = np.random.default_rng(13)
+        value_fn, vg_fn = density_closures(target, GAUSS1, McNoise.draw(rng, 40, 2))
+        for scale in (1.0, 3.0, 10.0, 1.0):
+            x = rng.normal(scale=scale, size=(15, 2))
+            assert value_fn(x).hex() == vg_fn(x)[0].hex()
+        assert len(prepared) == 1
+
+    def test_one_prepare_per_outer_iteration(self):
+        target, prepared = self._counting(eight_mixture())
+        rng = np.random.default_rng(14)
+        init = rng.uniform(-4.0, 4.0, size=(20, 2))
+        config = SolverConfig(tau_star=2.0, mc_samples=30, max_iter=3)
+        _, record = evi_mmd_run(target, BandwidthSchedule(1.0, 0.3, 0.5), config, rng, init)
+        assert len(prepared) == 3
+        assert sum(row.inner_iters for row in record.rows) > 3
+
+
 class TestKernelMatrixCounts:
-    """One value-and-gradient call builds each kernel matrix once."""
+    """One value-and-gradient call builds each kernel matrix it uses once;
+    the Gaussian square term uses none."""
 
     @staticmethod
     def _count(monkeypatch, name, module_name="evi_mmd.free_energy"):
@@ -390,21 +429,27 @@ class TestKernelMatrixCounts:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_density_value_and_grad_builds_gram_once(self, monkeypatch):
+    def test_density_value_and_grad_builds_no_gram(self, monkeypatch):
+        # The Gaussian square term comes from gaussian_self_sums.
         target = isotropic_gaussian(2, 1.0)
         noise = McNoise.draw(np.random.default_rng(2), 16, 2)
         _, vg_fn = density_closures(target, KernelConfig.gaussian(0.8), noise)
         grams = self._count(monkeypatch, "gram")
         vg_fn(np.random.default_rng(3).normal(size=(6, 2)))
-        assert len(grams) == 1
+        assert grams == []
 
-    def test_empirical_value_and_grad_builds_each_matrix_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kernel,n_grams",
+        [(KernelConfig.gaussian(1.2), 0), (KernelConfig.negative_euclidean(), 1)],
+        ids=["gaussian", "energy"],
+    )
+    def test_empirical_value_and_grad_builds_each_matrix_once(self, monkeypatch, kernel, n_grams):
         rng = np.random.default_rng(4)
-        _, vg_fn = empirical_closures(rng.normal(size=(7, 3)), KernelConfig.gaussian(1.2))
+        _, vg_fn = empirical_closures(rng.normal(size=(7, 3)), kernel)
         grams = self._count(monkeypatch, "gram")
         cross_grams = self._count(monkeypatch, "cross_gram")
         vg_fn(rng.normal(size=(5, 3)))
-        assert len(grams) == 1
+        assert len(grams) == n_grams
         assert len(cross_grams) == 1
 
     def test_energy_distance_value_and_grad_sweeps_each_distance_matrix_once(
@@ -429,11 +474,12 @@ def einsum_gaussian_sum_and_grad(x, y, kernel, square):
 
 
 def einsum_gaussian_empirical(x, batch, kernel):
+    """The empirical Gaussian closure with its cross term by the explicit
+    formula and its square term from the closures' own square-term pass."""
     n, m = x.shape[0], batch.shape[0]
     h2 = kernel.bandwidth**2
-    sq, sq_w = einsum_gaussian_sum_and_grad(x, x, kernel, square=True)
     cr, cr_w = einsum_gaussian_sum_and_grad(x, batch, kernel, square=False)
-    square, square_grad = sq / (n * n), -2.0 / (n * n * h2) * sq_w
+    square, square_grad = _square_term_and_grad(x, kernel)
     cross, cross_grad = cr / m, -cr_w / (h2 * m)
     return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 
@@ -450,12 +496,27 @@ def einsum_gaussian_density(x, target, kernel, noise):
     return -2.0 / n * cross + square, -2.0 / n * cross_grad + square_grad
 
 
+def square_term_slack(x, h):
+    """The declared bound of gaussian_self_sums on the square term and its
+    gradient: E_ij = eps ((2d + 8)(1 + S_ij) + 2N + 4) K_ij + exp(-706),
+    scaled by 1/N^2 and 2/(N^2 h^2) (see tests/test_kernels.py)."""
+    n, d = x.shape
+    centred = x - x.mean(axis=0)
+    half_sq = np.sum(centred * centred, axis=1) / (2 * h * h)
+    k = gram(x, KernelConfig.gaussian(h))
+    e = np.finfo(float).eps * ((2 * d + 8) * (1 + half_sq[:, None] + half_sq) + 2 * n + 4) * k
+    e += np.exp(-706.0)
+    rows = e.sum(axis=1)[:, None] * np.abs(centred) + e @ np.abs(centred)
+    return e.sum() / (n * n), 2.0 / (n * n * h * h) * rows
+
+
 def assert_within_declared_bound(value, grad, x, target, kernel, noise):
-    """The density closure's value and gradient against the probe-matrix
-    formula.  Only the cross term differs: each per-particle density sum r
-    and gradient sum of the probe matrix may move by 1e-10 |r| + 1e-11
-    max|r|, times the closure's factor 2 C_h / (N L), plus a few ulps of the
-    assembly."""
+    """The density closure's value and gradient against the probe-matrix and
+    Gram formula.  The cross term's per-particle density sums r and gradient
+    sums of the probe matrix may move by 1e-10 |r| + 1e-11 max|r|, times the
+    closure's factor 2 C_h / (N L); the square term by the bound of
+    gaussian_self_sums, twice over, since the Gram reference rounds its
+    exponents too; plus a few ulps of the assembly."""
     (n, d), h = x.shape, kernel.bandwidth
     ref_value, ref_grad = einsum_gaussian_density(x, target, kernel, noise)
     vals, grads = target.density_and_grad(_shifted_probes(x, h * noise.xi))
@@ -463,9 +524,10 @@ def assert_within_declared_bound(value, grad, x, target, kernel, noise):
     vals = np.abs(vals.reshape(n, -1).sum(axis=1))
     factor = 2.0 / n * gaussian_normalizer(d, h) / noise.n_samples
     eps = np.finfo(float).eps
-    value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max())
+    square_value_slack, square_grad_slack = square_term_slack(x, h)
+    value_bound = factor * np.sum(1e-10 * vals + 1e-11 * vals.max()) + 2 * square_value_slack
     value_bound += 4 * eps * (abs(ref_value) + 2 * factor * vals.sum())
-    grad_bound = factor * (1e-10 * sums + 1e-11 * sums.max())
+    grad_bound = factor * (1e-10 * sums + 1e-11 * sums.max()) + 2 * square_grad_slack
     grad_bound += 4 * eps * (np.abs(ref_grad) + 2 * factor * sums)
     assert abs(value - ref_value) <= value_bound
     assert np.all(np.abs(grad - ref_grad) <= grad_bound)
@@ -524,12 +586,14 @@ def assert_energy_matches_unit_vectors(x, batch):
 
 
 class TestOneGradientForm:
-    """Every kernel double sum takes its gradient from weighted_differences.
-    The empirical Gaussian closure is bitwise equal to the explicit formula,
-    and the density closure within the mixtures' declared bound on its cross
-    term; the energy distance matches the unit-vector formula, its value
-    bitwise and its gradient within ENERGY_GRAD_RTOL of the summed terms'
-    size."""
+    """Every kernel cross sum, and the energy distance's square sum, takes
+    its gradient from weighted_differences.  The empirical Gaussian
+    closure's cross term is bitwise equal to the explicit formula, and its
+    square term is the square-term pass within its declared bound
+    (tests/test_kernels.py); the density closure is within the mixtures'
+    declared bound on its cross term and that bound on its square term; the
+    energy distance matches the unit-vector formula, its value bitwise and
+    its gradient within ENERGY_GRAD_RTOL of the summed terms' size."""
 
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_gaussian_empirical_closure_bitwise(self, d):
@@ -687,7 +751,7 @@ class TestConvolutionOracle:
         noise = McNoise.draw(rng, 2000, target.dim)
         (n, d), n_mc = x.shape, noise.n_samples
         c_h = gaussian_normalizer(d, h)
-        val_sums, grad_sums = target.shifted_density_and_grad(x, h * noise.xi)
+        val_sums, grad_sums = target.shifted_sweep(h * noise.xi)(x)
         est_vals = c_h / n_mc * val_sums
         est_grads = c_h / n_mc * grad_sums
         # per-probe sample standard deviations give the CLT standard errors

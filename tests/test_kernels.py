@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from evi_mmd import kernels
 from evi_mmd.kernels import (
     cross_gram,
     gauss_eval,
+    gaussian_self_sums,
     gauss_grad_x,
     gram,
     neg_euclid_eval,
@@ -468,3 +473,90 @@ def test_only_the_shell_leaves_the_vector_loop(monkeypatch):
     assert len(slow_calls) == 1
     assert slow_calls[0].size == np.count_nonzero(shell)
     assert np.all(slow_calls[0] >= CUTOFF)
+
+
+def longdouble_self_sums(x, h):
+    """sum_ij K(x_i, x_j) and the rows sum_j K(x_i, x_j) (x_i - x_j) in
+    80-bit extended precision, row by row: the near-exact reference of
+    gaussian_self_sums."""
+    x = x.astype(np.longdouble)
+    two_h2 = 2 * np.longdouble(h) ** 2
+    total, rows = np.longdouble(0), np.empty_like(x)
+    for i, xi in enumerate(x):
+        diff = xi - x
+        k = np.exp(-np.sum(diff * diff, axis=1) / two_h2)
+        total += k.sum()
+        rows[i] = k @ diff
+    return total, rows
+
+
+def declared_self_sums_bound(x, h):
+    """The bound gaussian_self_sums declares: E_ij = eps ((2d + 8)(1 + S_ij)
+    + 2N + 4) K_ij + exp(-706), with S_ij = (|x~_i|^2 + |x~_j|^2) / 2h^2 on
+    the centred points x~; the sum may move by sum_ij E_ij, row entry (i, a)
+    by sum_j E_ij (|x~_ia| + |x~_ja|)."""
+    n, d = x.shape
+    centred = x - x.mean(axis=0)
+    half_sq = np.sum(centred * centred, axis=1) / (2 * h * h)
+    s = half_sq[:, None] + half_sq[None, :]
+    k = gram(x, KernelConfig.gaussian(h))
+    e = np.finfo(float).eps * ((2 * d + 8) * (1 + s) + 2 * n + 4) * k + np.exp(-706.0)
+    return e.sum(), e.sum(axis=1)[:, None] * np.abs(centred) + e @ np.abs(centred)
+
+
+class TestGaussianSelfSums:
+    """The Gaussian square term's factored sums against the extended-
+    precision reference, within the declared bound, for clouds at the origin
+    and at 50 and bandwidths from wide to far below the spread."""
+
+    @pytest.mark.parametrize("center", [0.0, 50.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 600])
+    @pytest.mark.parametrize("h", [2.0, 0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_within_declared_bound(self, d, h, n, center):
+        rng = np.random.default_rng(1000 * d + n)
+        x = center + rng.normal(size=(n, d))
+        total, rows = gaussian_self_sums(x, h)
+        ref_total, ref_rows = longdouble_self_sums(x, h)
+        value_bound, row_bound = declared_self_sums_bound(x, h)
+        assert abs(total - float(ref_total)) <= value_bound
+        assert np.all(np.abs(rows - ref_rows.astype(float)) <= row_bound)
+
+    @pytest.mark.parametrize("point", [[0.0, 0.0], [50.0, -3.0], [1e-300, 7.0]])
+    def test_single_point_is_exactly_one(self, point):
+        total, rows = gaussian_self_sums(np.array([point]), 0.3)
+        assert total == 1.0
+        np.testing.assert_array_equal(rows, 0.0)
+
+    def test_builds_no_gram(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the factored sums built a squared-distance matrix")
+
+        monkeypatch.setattr(kernels, "squared_distances", no_sweep)
+        total, _ = gaussian_self_sums(np.random.default_rng(0).normal(size=(30, 3)), 0.8)
+        assert np.isfinite(total)
+
+    def test_bytes_independent_of_blas_threads(self):
+        # At N = 600, d = 10 one product over all rows would be 4.3M
+        # multiply-adds, large enough for OpenBLAS to split over threads; the
+        # row blocks keep each at most _SERIAL_PRODUCT.  BLAS reads its
+        # thread count at import, so each count gets a fresh interpreter.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from evi_mmd.kernels import gaussian_self_sums\n"
+            "x = np.random.default_rng(3).normal(scale=2.0, size=(600, 10))\n"
+            "total, rows = gaussian_self_sums(x, 1.5)\n"
+            "print(hashlib.sha256(np.float64(total).tobytes() + rows.tobytes()).hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1

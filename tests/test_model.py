@@ -70,7 +70,8 @@ class TestParticleSet:
     @pytest.mark.parametrize(
         "positions",
         [[["a", "b"]], [[0.0, 1.0], [2.0]], [[object()]], [["1.5", "2"]],
-         np.array([["1.5", "2"]]), [[b"1.5", b"2"]], [[1.5, "2"]]],
+         np.array([["1.5", "2"]]), [[b"1.5", b"2"]], [[1.5, "2"]],
+         np.array([["1.5", 2.0]], dtype=object), np.array([[b"1.5", 2.0]], dtype=object)],
     )
     def test_rejects_what_is_not_real_numbers_by_name(self, positions):
         match = "^positions must be an array of real numbers"
@@ -128,29 +129,40 @@ class TestDensityTarget:
         )
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         offsets = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 1.0]])
-        val_sums, grad_sums = t.shifted_density_and_grad(x, offsets)
+        val_sums, grad_sums = t.shifted_sweep(offsets)(x)
         # particle 0's probes x_0 + o_l have densities 21, 11.5 and 33;
         # particle 1's 43, 33.5 and 55
         np.testing.assert_array_equal(val_sums, [21.0 + 11.5 + 33.0, 43.0 + 33.5 + 55.0])
         np.testing.assert_array_equal(grad_sums, [[5.5, -6.0], [11.5, -12.0]])
         # a copy with a new fused evaluation sweeps the new one
         copy = dataclasses.replace(t, density_and_grad=lambda x: (np.ones(len(x)), 2.0 * x))
-        val_sums, grad_sums = copy.shifted_density_and_grad(x, offsets)
+        val_sums, grad_sums = copy.shifted_sweep(offsets)(x)
         np.testing.assert_array_equal(val_sums, [3.0, 3.0])
         np.testing.assert_array_equal(grad_sums, [[11.0, 12.0], [23.0, 24.0]])
 
     def test_given_shifted_evaluation_is_kept(self):
-        def shifted(x, offsets):
-            return np.zeros(len(x)), np.zeros_like(x)
+        def shifted(offsets):
+            return lambda x: (np.zeros(len(x)), np.zeros_like(x))
 
         t = DensityTarget(
             density=lambda x: np.ones(len(x)),
             grad_density=lambda x: np.zeros_like(x),
             domain_box=(np.zeros(2), np.ones(2)),
-            shifted_density_and_grad=shifted,
+            shifted_sweep=shifted,
         )
-        assert t.shifted_density_and_grad is shifted
-        assert dataclasses.replace(t, density=lambda x: x[:, 0]).shifted_density_and_grad is shifted
+        assert t.shifted_sweep is shifted
+        assert dataclasses.replace(t, density=lambda x: x[:, 0]).shifted_sweep is shifted
+
+    def test_one_stage_shifted_evaluation_fails_loudly(self):
+        # The shifted evaluation was one call, (x, offsets) -> sums; it is
+        # now prepare(offsets) -> sweep(x), under a new field name.
+        with pytest.raises(TypeError, match="shifted_density_and_grad"):
+            DensityTarget(
+                density=lambda x: np.ones(len(x)),
+                grad_density=lambda x: np.zeros_like(x),
+                domain_box=(np.zeros(2), np.ones(2)),
+                shifted_density_and_grad=lambda x, offsets: (np.zeros(len(x)), np.zeros_like(x)),
+            )
 
     def test_rejects_inverted_box(self):
         with pytest.raises(InvalidArgumentError):

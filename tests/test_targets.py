@@ -423,7 +423,7 @@ class TestPointSweep:
 
 def probe_path(target, x, offsets):
     """Density and gradient sums over l through ``density_and_grad`` on the
-    (N·L, d) probe matrix: the reference of ``shifted_density_and_grad``."""
+    (N·L, d) probe matrix: the reference of ``shifted_sweep``."""
     n, d = x.shape
     probes = (x[:, None, :] + offsets[None, :, :]).reshape(-1, d)
     vals, grads = target.density_and_grad(probes)
@@ -445,9 +445,9 @@ def assert_matches_probe_path(target, x, offsets):
     floating-point warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+        vals, grad_sums = target.shifted_sweep(offsets)(x)
     ref_vals, ref_sums = probe_path(target, x, offsets)
-    if isinstance(target.shifted_density_and_grad, _ProbeSweep):
+    if isinstance(target.shifted_sweep, _ProbeSweep):
         assert vals.tobytes() == ref_vals.tobytes()
         assert grad_sums.tobytes() == ref_sums.tobytes()
     else:
@@ -470,7 +470,7 @@ SHIFTED_TARGETS = {
 
 
 class TestShiftedSweep:
-    """``shifted_density_and_grad`` against the probe path: within the
+    """``shifted_sweep`` against the probe path: within the
     declared bound for the mixtures' factored sweep, bitwise for the
     fallback of other targets."""
 
@@ -510,8 +510,37 @@ class TestShiftedSweep:
         monkeypatch.setattr(targets, "_SHIFT_SPREAD", np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)
+            vals, grad_sums = mixture.shifted_sweep(offsets)(x)
         assert not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grad_sums)))
+
+    def test_prepared_sweep_is_bitwise_a_fresh_one(self, monkeypatch):
+        # One preparation serves sweeps in which the eight ring's group flips
+        # between per-component and whole: with offsets at scale 10,
+        # particles at scale 10 split it (test_wide_eight_mixture_needs_the_
+        # split) and particles at scale 1 do not.
+        mixture = mixture_of(eight_mixture())
+        rng = np.random.default_rng(60 + 300 + 2)
+        far = rng.normal(scale=10.0, size=(60, 2))
+        offsets = 10.0 * rng.normal(size=(300, 2))
+        near = rng.normal(size=(60, 2))
+        sweep = mixture.shifted_sweep(offsets)
+        fresh = {}
+        for name, x in [("far", far), ("near", near), ("far", far), ("near", near)]:
+            vals, grad_sums = sweep(x)
+            fresh[name] = mixture.shifted_sweep(offsets)(x)
+            assert vals.tobytes() == fresh[name][0].tobytes()
+            assert grad_sums.tobytes() == fresh[name][1].tobytes()
+        assert np.all(np.isfinite(fresh["far"][0])) and np.all(np.isfinite(fresh["far"][1]))
+        # Where no group may split, the far sweep overflows and the near one
+        # keeps its bytes: the group was split for the one, whole for the other.
+        monkeypatch.setattr(targets, "_SHIFT_SPREAD", np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            far_vals, _ = sweep(far)
+        assert not np.all(np.isfinite(far_vals))
+        vals, grad_sums = sweep(near)
+        assert vals.tobytes() == fresh["near"][0].tobytes()
+        assert grad_sums.tobytes() == fresh["near"][1].tobytes()
 
     @pytest.mark.parametrize(
         "make,groups",
@@ -549,9 +578,9 @@ class TestShiftedSweep:
         rng = np.random.default_rng(4)
         x = np.asfortranarray(rng.normal(size=(41, 2)))[::2]
         offsets = np.asfortranarray(rng.normal(size=(300, 2)))[::3]
-        vals, grad_sums = target.shifted_density_and_grad(x, offsets)
+        vals, grad_sums = target.shifted_sweep(offsets)(x)
         x, offsets = np.ascontiguousarray(x), np.ascontiguousarray(offsets)
-        c_vals, c_sums = target.shifted_density_and_grad(x, offsets)
+        c_vals, c_sums = target.shifted_sweep(offsets)(x)
         assert vals.tobytes() == c_vals.tobytes()
         assert grad_sums.tobytes() == c_sums.tobytes()
         assert_matches_probe_path(target, x, offsets)
@@ -568,8 +597,8 @@ class TestShiftedSweep:
         offsets = rng.normal(scale=2.0, size=(200, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, grad_sums = padded.shifted_density_and_grad(x, offsets)
-        ref_vals, ref_sums = eight.shifted_density_and_grad(x, offsets)
+            vals, grad_sums = padded.shifted_sweep(offsets)(x)
+        ref_vals, ref_sums = eight.shifted_sweep(offsets)(x)
         assert_within_declared_bound(vals, ref_vals)
         assert_within_declared_bound(grad_sums, ref_sums)
 
@@ -598,7 +627,7 @@ class TestShiftedSweep:
             "mixture = GaussianMixture(np.full(4, 0.25), rng.normal(size=(4, d)), cov)\n"
             f"x = rng.normal(scale=2.0, size=({n}, d))\n"
             f"offsets = rng.normal(size=({n_off}, d))\n"
-            "vals, grad_sums = mixture.shifted_density_and_grad(x, offsets)\n"
+            "vals, grad_sums = mixture.shifted_sweep(offsets)(x)\n"
             "print(hashlib.sha256(vals.tobytes() + grad_sums.tobytes()).hexdigest())\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -622,8 +651,8 @@ class TestShiftedSweep:
         rng = np.random.default_rng(21)
         x = rng.normal(scale=2.0, size=(21, 2))
         offsets = 0.7 * rng.normal(size=(100, 2))
-        vals, grad_sums = sweep(np.asfortranarray(x), np.asfortranarray(offsets))
-        ref_vals, ref_sums = sweep(x, offsets)
+        vals, grad_sums = sweep(np.asfortranarray(offsets))(np.asfortranarray(x))
+        ref_vals, ref_sums = sweep(offsets)(x)
         assert vals.tobytes() == ref_vals.tobytes()
         assert grad_sums.tobytes() == ref_sums.tobytes()
 
@@ -643,14 +672,14 @@ class TestShiftedSweep:
         rng = np.random.default_rng(22)
         x = rng.normal(scale=2.0, size=(21, 2))
         offsets = 0.7 * rng.normal(size=(100, 2))
-        vals, grad_sums = user.shifted_density_and_grad(x, offsets)
+        vals, grad_sums = user.shifted_sweep(offsets)(x)
         ref_vals, ref_sums = probe_path(star, x, offsets)
         assert vals.tobytes() == ref_vals.tobytes()
         assert grad_sums.tobytes() == ref_sums.tobytes()
 
     def test_zero_particles(self):
         for target in (eight_mixture(), wave_density()):
-            vals, grad_sums = target.shifted_density_and_grad(np.empty((0, 2)), np.ones((5, 2)))
+            vals, grad_sums = target.shifted_sweep(np.ones((5, 2)))(np.empty((0, 2)))
             assert vals.shape == (0,) and grad_sums.shape == (0, 2)
 
     @pytest.mark.parametrize(
@@ -674,9 +703,9 @@ class TestShiftedSweep:
     def test_rejects_bad_shapes(self, name, x_shape, offsets_shape, match):
         target = SHIFTED_TARGETS[name]()
         with pytest.raises(InvalidArgumentError, match=match):
-            target.shifted_density_and_grad(np.zeros(x_shape), np.zeros(offsets_shape))
+            target.shifted_sweep(np.zeros(offsets_shape))(np.zeros(x_shape))
 
     def test_mixture_targets_bind_the_probe_free_sweep(self):
         target = eight_mixture()
-        assert target.shifted_density_and_grad.__self__ is mixture_of(target)
-        assert target.shifted_density_and_grad.__func__ is GaussianMixture.shifted_density_and_grad
+        assert target.shifted_sweep.__self__ is mixture_of(target)
+        assert target.shifted_sweep.__func__ is GaussianMixture.shifted_sweep
