@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalFailureError
 # density_closures is unused here; bench/tracing.py looks it up in this module.
 from .free_energy import density_closures, empirical_closures, square_term  # noqa: F401
-from .kernels import gram
+from .kernels import gaussian_self_sums
 from .model import (
     BandwidthSchedule,
     DensityTarget,
@@ -34,6 +34,7 @@ from .model import (
     ParticleSet,
     RunRecord,
     SolverConfig,
+    _check_array,
     _check_positive,
 )
 from .solver import (
@@ -165,27 +166,18 @@ def svgd_step(
     """One Stein variational update:
 
     x_i += eta0/N * sum_j [K(x_j, x_i) grad log rho(x_j) + grad_{x_j} K(x_j, x_i)]
+
+    The Gaussian kernel is symmetric and sum_j grad_{x_j} K(x_j, x_i) =
+    sum_j K_ij (x_i - x_j) / h^2, so drift and repulsion come from one
+    :func:`evi_mmd.kernels.gaussian_self_sums` call, within its declared
+    bound.
     """
-    n = particles.shape[0]
-    h2 = bandwidth * bandwidth
-    w = gram(particles, KernelConfig.gaussian(bandwidth))
+    particles = _check_array(particles, "particles", 2)
+    bandwidth = _check_positive(bandwidth, "bandwidth")
     score = _grad_log_density(target, particles)
-    drift = _column_products(w, score)
-    # sum_j grad_{x_j} K(x_j, x_i) = (x_i sum_j w_ji - sum_j w_ji x_j) / h^2
-    repulsion = (particles * w.sum(axis=0)[:, None] - _column_products(w, particles)) / h2
-    return particles + eta0 / n * (drift + repulsion)
-
-
-def _column_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row i is sum_j w_ji v_j: per column of ``v``, the rows of ``w`` scaled
-    and added in row order, the order (and bytes) of
-    ``np.einsum("ji,jd->id", w, v)`` at about half its time."""
-    scaled = np.empty_like(w)
-    sums = np.empty((v.shape[1], w.shape[1]))
-    for v_e, sums_e in zip(v.T, sums):
-        np.multiply(w, v_e[:, None], out=scaled)
-        np.add.reduce(scaled, axis=0, out=sums_e)
-    return np.ascontiguousarray(sums.T)
+    _, differences, drift = gaussian_self_sums(particles, bandwidth, score)
+    n = particles.shape[0]
+    return particles + eta0 / n * (drift + differences / (bandwidth * bandwidth))
 
 
 def svgd_run(

@@ -11,24 +11,27 @@ in the hundreds, so O(N^2 d) is fine.  (The evaluation metrics sum the
 thousands-row reference Gram block by block instead, through
 :func:`_squared_distances_into` and :func:`_kernel_from_squared`.)
 
-The free energy's Gaussian square term is the exception to the coordinate
-sweep: :func:`gaussian_self_sums` takes the kernel sum over one point cloud
-and its gradient rows from two matrix products per row block, without an
-N x N Gram, within the bound stated there rather than byte for byte.  Its
-row blocks, like those of the mixtures' shifted sweep, keep every product at
+The Gaussian sums over one point cloud are the exception to the coordinate
+sweep: :func:`gaussian_self_sums` takes the kernel sum, its gradient rows
+and, optionally, kernel-weighted sums of given per-point values from two
+matrix products per row block, without an N x N Gram, within the bound
+stated there rather than byte for byte.  The free energy's Gaussian square
+term and the SVGD step (drift and repulsion) both take this route.  Its row
+blocks, like those of the mixtures' shifted sweep, keep every product at
 most ``_SERIAL_PRODUCT`` multiply-adds, so its bytes do not depend on the
 BLAS thread count, and both drop exponentials below exp(-707) with
 :func:`_exp_dropping_tiny`.  The negative-Euclidean kernel keeps the sweep:
 its square root would turn the product form's cancellation into large
 relative errors at close pairs.
 
-The Gaussian Gram matrices' exponentials go through :func:`_exp_inplace`, which
+The exponentials of :func:`gram`, :func:`cross_gram` and the evaluation
+metrics' blocked kernel means go through :func:`_exp_inplace`, which
 returns the bytes of ``np.exp`` but keeps arguments below -708 out of its
 vector loop: there ``np.exp`` takes a scalar path 20-150x slower per entry,
-and at small bandwidths most Gram entries land there.  Arguments below -750,
-where ``np.exp`` is exactly +0.0, become 0.0; the thin shell in between is
-exponentiated on its own (``tests/test_kernels.py`` checks the bytes and the
-+0.0 threshold of the installed numpy).
+and at small bandwidths most kernel entries land there.  Arguments below
+-750, where ``np.exp`` is exactly +0.0, become 0.0; the thin shell in
+between is exponentiated on its own (``tests/test_kernels.py`` checks the
+bytes and the +0.0 threshold of the installed numpy).
 
 Every free-energy kernel-sum gradient has the one form
 sum_j w_ij (x_i - y_j): from a kernel matrix by :func:`weighted_differences`,
@@ -37,15 +40,18 @@ and for the Gaussian square term by :func:`gaussian_self_sums`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_array, _check_positive
 
-# Rows of ``a`` per chunk; bounds the scratch buffer at chunk * M floats.
-_CHUNK = 256
+# Floats of the squared-distance sweep's scratch buffer, 128 KiB: a chunk
+# of rows of ``a`` has about this many entries.  Sized by rows instead, at
+# 256 rows, a 200 x 200 call took twice the time: its 400 KB buffer seems to
+# go back to the OS when freed and be page-faulted in again by the next call.
+_CHUNK_FLOATS = 1 << 14
 
 # Below about _EXP_FAST_MIN, where its results near the subnormal range,
 # np.exp leaves its vector loop; below _EXP_ZERO_BELOW it returns exactly
@@ -98,8 +104,9 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances between rows of a and b.
 
     Accumulates ``(a[:, j] - b[:, j])**2`` over coordinates j in order, a
-    chunk of rows of ``a`` at a time so the scratch buffer stays at
-    ``_CHUNK * M`` floats however many rows ``a`` has.
+    chunk of rows of ``a`` at a time so the scratch buffer stays at about
+    ``_CHUNK_FLOATS`` floats (at least one row) however many rows ``a`` has.
+    Each entry's bytes do not depend on the chunking.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,9 +121,10 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros((n, m))
     b_coords = np.ascontiguousarray(b.T)
     out = np.empty((n, m))
-    term = np.empty((min(n, _CHUNK), m))
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, start + _CHUNK)
+    chunk = max(1, _CHUNK_FLOATS // max(1, m))
+    term = np.empty((min(n, chunk), m))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
         _squared_distances_into(a[rows], b_coords, out[rows], term)
     return out
 
@@ -237,30 +245,39 @@ def weighted_differences(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndar
     return x * w.sum(axis=1)[:, None] - np.einsum("ij,jd->id", w, y)
 
 
-def gaussian_self_sums(points: np.ndarray, bandwidth: float) -> Tuple[float, np.ndarray]:
+def gaussian_self_sums(
+    points: np.ndarray, bandwidth: float, values: Optional[np.ndarray] = None
+) -> Union[Tuple[float, np.ndarray], Tuple[float, np.ndarray, np.ndarray]]:
     """The Gaussian kernel sum sum_ij K(x_i, x_j) over one point cloud and
-    the rows sum_j K(x_i, x_j) (x_i - x_j), without an N x N Gram.
+    the rows sum_j K(x_i, x_j) (x_i - x_j), without an N x N Gram; given an
+    (N, k) array ``values``, also the rows sum_j K(x_i, x_j) v_j, as a third
+    result.
 
     With the points centred on their mean, x~ = x - m, u = x~ / h and s_i =
     |u_i|^2 / 2, the exponent -|x_i - x_j|^2 / 2h^2 is u_i . u_j - s_i - s_j.
     Per row block, one product [u | -s | 1] @ [u | 1 | -s]^T gives the
     exponents, clamped at <= 0 with the diagonal set to exactly 0, one
     exponential per entry gives the kernel values k, those below exp(-707)
-    set to 0, and a second product k @ [1 | x~] gives the row sums r_i and
-    sum_j k_ij x~_j, so that row i is x~_i r_i - sum_j k_ij x~_j.  A single
-    point gives exactly 1.0 and a zero row.
+    set to 0, and a second product k @ [1 | x~ | v] gives the row sums r_i,
+    sum_j k_ij x~_j and sum_j k_ij v_j, so that row i is x~_i r_i - sum_j
+    k_ij x~_j.  A single point gives exactly 1.0 and a zero row.  Without
+    ``values`` the second product is k @ [1 | x~], and its bytes are those
+    of a call that never had the argument.  The free energy's Gaussian
+    square term takes the sum and rows; an SVGD step takes all three, the
+    rows being h^2 times its repulsion and the third result its drift.
 
     Declared bound: with S_ij = (|x~_i|^2 + |x~_j|^2) / 2h^2, eps the float
     spacing at 1 and E_ij = eps ((2d + 8)(1 + S_ij) + 2N + 4) K_ij +
     exp(-706), the sum is within sum_ij E_ij of the exact sum over the input
-    floats, and entry (i, a) of the rows within sum_j E_ij (|x~_ia| +
-    |x~_ja|) of the exact one (``tests/test_kernels.py``).  The (1 + S_ij)
-    part covers the rounding of the exponents, whose terms grow with S_ij
-    while the kernel value does not; the 2N part covers the sums over j and
-    i.  Centring keeps S_ij at the cloud's own scale wherever it lies.  The
-    bound needs S_ij to be finite; points whose |x~| / h overflows when
-    squared give NaN.  Row blocks keep each product at most _SERIAL_PRODUCT
-    multiply-adds, so the bytes do not depend on the BLAS thread count.
+    floats, entry (i, a) of the rows within sum_j E_ij (|x~_ia| + |x~_ja|)
+    of the exact one, and entry (i, a) of sum_j K_ij v_j within sum_j E_ij
+    |v_ja| (``tests/test_kernels.py``).  The (1 + S_ij) part covers the
+    rounding of the exponents, whose terms grow with S_ij while the kernel
+    value does not; the 2N part covers the sums over j and i.  Centring
+    keeps S_ij at the cloud's own scale wherever it lies.  The bound needs
+    S_ij to be finite; points whose |x~| / h overflows when squared give
+    NaN.  Row blocks keep each product at most _SERIAL_PRODUCT multiply-adds,
+    so the bytes do not depend on the BLAS thread count.
     """
     n, d = points.shape
     centred = points - points.mean(axis=0)
@@ -269,9 +286,9 @@ def gaussian_self_sums(points: np.ndarray, bandwidth: float) -> Tuple[float, np.
     ones = np.ones(n)
     left = np.column_stack([scaled, -half_sq, ones])
     right = np.column_stack([scaled, ones, -half_sq])
-    weights = np.column_stack([ones, centred])
-    sums = np.empty((n, d + 1))
-    rows = max(1, _SERIAL_PRODUCT // max(1, n * (d + 2)))
+    weights = np.column_stack([ones, centred] + ([] if values is None else [values]))
+    sums = np.empty((n, weights.shape[1]))
+    rows = max(1, _SERIAL_PRODUCT // max(1, n * max(d + 2, weights.shape[1])))
     block = np.empty((min(rows, n), n))
     keep = np.empty(block.shape, dtype=bool)
     for start in range(0, n, rows):
@@ -282,4 +299,8 @@ def gaussian_self_sums(points: np.ndarray, bandwidth: float) -> Tuple[float, np.
         e.reshape(-1)[start :: n + 1] = 0.0
         _exp_dropping_tiny(e, keep[: stop - start])
         np.matmul(e, weights, out=sums[start:stop])
-    return float(sums[:, 0].sum()), centred * sums[:, :1] - sums[:, 1:]
+    total = float(sums[:, 0].sum())
+    differences = centred * sums[:, :1] - sums[:, 1 : d + 1]
+    if values is None:
+        return total, differences
+    return total, differences, sums[:, d + 1 :]

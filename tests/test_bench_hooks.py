@@ -63,6 +63,8 @@ def test_traced_child_run(tmp_path, config):
     assert counts.get("kernels.pairwise_distances.calls", 0) == expected
     if raw["method"] == "svgd":
         assert counts["baselines.svgd_step.calls"] == 30
+        # the step's kernel sums come from the factored products, not a Gram
+        assert counts.get("kernels.gram.calls", 0) == 0
     elif raw["method"] == "explicit_mmd":
         # one gradient per step, one objective value per recorded row
         assert counts["free_energy.value_and_grad.calls"] == 4

@@ -193,7 +193,7 @@ class TestGramMatrices:
             cross_gram(np.zeros((2, 2)), np.zeros((2, 3)), KernelConfig.gaussian(1.0))
 
     def test_chunking_boundary_consistency(self):
-        # exercise the >256-row chunked path against the small-path result
+        # 300 rows span several chunks; the slice starts inside one
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(300, 2))
         dist = pairwise_distances(pts, pts)
@@ -250,13 +250,16 @@ class TestCoordinateAccumulation:
             else:
                 np.testing.assert_allclose(g, r, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
-    def test_chunked_equals_unchunked(self, rows, monkeypatch):
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 7])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("m", [40, 200])
+    def test_chunked_equals_unchunked(self, m, chunks, extra, monkeypatch):
+        rows = chunks * (kernels._CHUNK_FLOATS // m) + extra
         rng = np.random.default_rng(rows)
         a = rng.normal(size=(rows, 3))
-        b = rng.normal(size=(40, 3))
+        b = rng.normal(size=(m, 3))
         chunked = [squared_distances(a, b), gram(a, KernelConfig.gaussian(0.9))]
-        monkeypatch.setattr(kernels, "_CHUNK", 10**6)
+        monkeypatch.setattr(kernels, "_CHUNK_FLOATS", 10**9)
         unchunked = [squared_distances(a, b), gram(a, KernelConfig.gaussian(0.9))]
         for c, u in zip(chunked, unchunked):
             np.testing.assert_array_equal(c, u)
@@ -475,32 +478,41 @@ def test_only_the_shell_leaves_the_vector_loop(monkeypatch):
     assert np.all(slow_calls[0] >= CUTOFF)
 
 
-def longdouble_self_sums(x, h):
-    """sum_ij K(x_i, x_j) and the rows sum_j K(x_i, x_j) (x_i - x_j) in
-    80-bit extended precision, row by row: the near-exact reference of
-    gaussian_self_sums."""
+def longdouble_self_sums(x, h, values=None):
+    """sum_ij K(x_i, x_j), the rows sum_j K(x_i, x_j) (x_i - x_j) and, given
+    ``values``, the rows sum_j K(x_i, x_j) v_j in 80-bit extended precision,
+    row by row: the near-exact reference of gaussian_self_sums."""
     x = x.astype(np.longdouble)
     two_h2 = 2 * np.longdouble(h) ** 2
     total, rows = np.longdouble(0), np.empty_like(x)
+    v = None if values is None else values.astype(np.longdouble)
+    weighted = None if v is None else np.empty_like(v)
     for i, xi in enumerate(x):
         diff = xi - x
         k = np.exp(-np.sum(diff * diff, axis=1) / two_h2)
         total += k.sum()
         rows[i] = k @ diff
-    return total, rows
+        if v is not None:
+            weighted[i] = k @ v
+    return total, rows, weighted
 
 
-def declared_self_sums_bound(x, h):
-    """The bound gaussian_self_sums declares: E_ij = eps ((2d + 8)(1 + S_ij)
-    + 2N + 4) K_ij + exp(-706), with S_ij = (|x~_i|^2 + |x~_j|^2) / 2h^2 on
-    the centred points x~; the sum may move by sum_ij E_ij, row entry (i, a)
-    by sum_j E_ij (|x~_ia| + |x~_ja|)."""
+def declared_pair_errors(x, h):
+    """The per-pair error gaussian_self_sums declares, E_ij = eps ((2d + 8)
+    (1 + S_ij) + 2N + 4) K_ij + exp(-706) with S_ij = (|x~_i|^2 +
+    |x~_j|^2) / 2h^2, and the centred points x~."""
     n, d = x.shape
     centred = x - x.mean(axis=0)
     half_sq = np.sum(centred * centred, axis=1) / (2 * h * h)
     s = half_sq[:, None] + half_sq[None, :]
     k = gram(x, KernelConfig.gaussian(h))
-    e = np.finfo(float).eps * ((2 * d + 8) * (1 + s) + 2 * n + 4) * k + np.exp(-706.0)
+    return np.finfo(float).eps * ((2 * d + 8) * (1 + s) + 2 * n + 4) * k + np.exp(-706.0), centred
+
+
+def declared_self_sums_bound(x, h):
+    """The bounds gaussian_self_sums declares from E_ij: the sum may move by
+    sum_ij E_ij, row entry (i, a) by sum_j E_ij (|x~_ia| + |x~_ja|)."""
+    e, centred = declared_pair_errors(x, h)
     return e.sum(), e.sum(axis=1)[:, None] * np.abs(centred) + e @ np.abs(centred)
 
 
@@ -517,10 +529,37 @@ class TestGaussianSelfSums:
         rng = np.random.default_rng(1000 * d + n)
         x = center + rng.normal(size=(n, d))
         total, rows = gaussian_self_sums(x, h)
-        ref_total, ref_rows = longdouble_self_sums(x, h)
+        ref_total, ref_rows, _ = longdouble_self_sums(x, h)
         value_bound, row_bound = declared_self_sums_bound(x, h)
         assert abs(total - float(ref_total)) <= value_bound
         assert np.all(np.abs(rows - ref_rows.astype(float)) <= row_bound)
+
+    @pytest.mark.parametrize("center", [0.0, 50.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 600])
+    @pytest.mark.parametrize("h", [2.0, 0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_value_sums_within_declared_bound(self, d, h, n, center):
+        # Values with both signs and spread magnitudes; the extra columns
+        # also change the row blocks, so the sum and rows are checked again.
+        rng = np.random.default_rng(1000 * d + n + 1)
+        x = center + rng.normal(size=(n, d))
+        v = rng.normal(size=(n, 3)) * np.array([1.0, 30.0, 1e-3]) + np.array([0.0, 5.0, -2.0])
+        total, rows, weighted = gaussian_self_sums(x, h, v)
+        ref_total, ref_rows, ref_weighted = longdouble_self_sums(x, h, v)
+        value_bound, row_bound = declared_self_sums_bound(x, h)
+        e, _ = declared_pair_errors(x, h)
+        assert weighted.shape == (n, 3)
+        assert abs(total - float(ref_total)) <= value_bound
+        assert np.all(np.abs(rows - ref_rows.astype(float)) <= row_bound)
+        assert np.all(np.abs(weighted - ref_weighted.astype(float)) <= e @ np.abs(v))
+
+    @pytest.mark.parametrize("n,d", [(7, 2), (600, 10)])
+    def test_values_none_is_the_two_argument_call(self, n, d):
+        x = np.random.default_rng(n).normal(size=(n, d))
+        total, rows = gaussian_self_sums(x, 0.7)
+        total_none, rows_none = gaussian_self_sums(x, 0.7, None)
+        assert np.float64(total).tobytes() == np.float64(total_none).tobytes()
+        assert rows.tobytes() == rows_none.tobytes()
 
     @pytest.mark.parametrize("point", [[0.0, 0.0], [50.0, -3.0], [1e-300, 7.0]])
     def test_single_point_is_exactly_one(self, point):
@@ -539,15 +578,20 @@ class TestGaussianSelfSums:
     def test_bytes_independent_of_blas_threads(self):
         # At N = 600, d = 10 one product over all rows would be 4.3M
         # multiply-adds, large enough for OpenBLAS to split over threads; the
-        # row blocks keep each at most _SERIAL_PRODUCT.  BLAS reads its
-        # thread count at import, so each count gets a fresh interpreter.
+        # row blocks keep each at most _SERIAL_PRODUCT.  With 40 value
+        # columns the second product is the wider one, and the blocks must
+        # be sized by it.  BLAS reads its thread count at import, so each
+        # count gets a fresh interpreter.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from evi_mmd.kernels import gaussian_self_sums\n"
-            "x = np.random.default_rng(3).normal(scale=2.0, size=(600, 10))\n"
+            "rng = np.random.default_rng(3)\n"
+            "x = rng.normal(scale=2.0, size=(600, 10))\n"
             "total, rows = gaussian_self_sums(x, 1.5)\n"
-            "print(hashlib.sha256(np.float64(total).tobytes() + rows.tobytes()).hexdigest())\n"
+            "_, _, weighted = gaussian_self_sums(x, 1.5, rng.normal(size=(600, 40)))\n"
+            "parts = [np.float64(total).tobytes(), rows.tobytes(), weighted.tobytes()]\n"
+            "print(hashlib.sha256(b''.join(parts)).hexdigest())\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         digests = set()
