@@ -19,19 +19,24 @@ stated there rather than byte for byte.  The free energy's Gaussian square
 term and the SVGD step (drift and repulsion) both take this route.  Its row
 blocks, like those of the mixtures' shifted sweep, keep every product at
 most ``_SERIAL_PRODUCT`` multiply-adds, so its bytes do not depend on the
-BLAS thread count, and both drop exponentials below exp(-707) with
-:func:`_exp_dropping_tiny`.  The negative-Euclidean kernel keeps the sweep:
-its square root would turn the product form's cancellation into large
-relative errors at close pairs.
+BLAS thread count, and both drop exponentials below exp(-707).  The
+self-sums turn a block of exponents into kernel values in three passes
+(min, clamp at 0, exp) where no exponent is below -707, and otherwise in
+five (min, mask, one clip to [-707, 0], exp, mask product), with the
+diagonal set to exactly 1 (:func:`_self_kernel_block`).  Either way the
+bytes are those of a clamp at 0 followed by :func:`_exp_dropping_tiny`,
+which the shifted sweep uses.  The negative-Euclidean kernel keeps the
+sweep: its square root would turn the product form's cancellation into
+large relative errors at close pairs.
 
 The exponentials of :func:`gram`, :func:`cross_gram` and the evaluation
 metrics' blocked kernel means go through :func:`_exp_inplace`, which
-returns the bytes of ``np.exp`` but keeps arguments below -708 out of its
-vector loop: there ``np.exp`` takes a scalar path 20-150x slower per entry,
-and at small bandwidths most kernel entries land there.  Arguments below
--750, where ``np.exp`` is exactly +0.0, become 0.0; the thin shell in
-between is exponentiated on its own (``tests/test_kernels.py`` checks the
-bytes and the +0.0 threshold of the installed numpy).
+returns the bytes of ``np.exp`` but keeps arguments below -707 out of its
+vector loop: below about -707.78 ``np.exp`` takes a scalar path 15-150x
+slower per entry, and at small bandwidths most kernel entries land there.
+Arguments below -750, where ``np.exp`` is exactly +0.0, become 0.0; the
+thin shell in between is exponentiated on its own (``tests/test_kernels.py``
+checks the bytes and the +0.0 threshold of the installed numpy).
 
 Every free-energy kernel-sum gradient has the one form
 sum_j w_ij (x_i - y_j): from a kernel matrix by :func:`weighted_differences`,
@@ -53,10 +58,12 @@ from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_array, _ch
 # go back to the OS when freed and be page-faulted in again by the next call.
 _CHUNK_FLOATS = 1 << 14
 
-# Below about _EXP_FAST_MIN, where its results near the subnormal range,
-# np.exp leaves its vector loop; below _EXP_ZERO_BELOW it returns exactly
-# +0.0 (numpy's own zero threshold is -745.13).
-_EXP_FAST_MIN = -708.0
+# Below about -707.78, where its results near the subnormal range, numpy's
+# AVX-512 np.exp leaves its vector loop (about 19 ns an entry there instead
+# of 1.2 ns, on constant arrays); _EXP_FAST_MIN sits above that edge.  Below
+# _EXP_ZERO_BELOW np.exp returns exactly +0.0 (numpy's own zero threshold is
+# -745.13).
+_EXP_FAST_MIN = -707.0
 _EXP_ZERO_BELOW = -750.0
 
 # Most multiply-adds of one matrix product in a factored sweep (the Gaussian
@@ -217,6 +224,31 @@ def _exp_dropping_tiny(z: np.ndarray, keep: Optional[np.ndarray] = None) -> np.n
     return np.multiply(z, keep, out=z)
 
 
+def _self_kernel_block(e: np.ndarray, start: int, keep: np.ndarray) -> np.ndarray:
+    """Gaussian kernel values in place from the exponents ``e`` of rows
+    start, start + 1, ... of a point cloud against all of it: clamped at <= 0,
+    the diagonal exactly 0 and so exactly 1, and the entries below
+    _EXP_KEEP_MIN set to 0.  ``keep``, a boolean array shaped like ``e``, is
+    the scratch for the mask.
+
+    Where no exponent is below _EXP_KEEP_MIN this takes three passes (min,
+    clamp, exp); otherwise five (min, mask, one clip to [_EXP_KEEP_MIN, 0],
+    exp, mask product).  np.clip is np.minimum then np.maximum entry by
+    entry, and exp(+-0.0) is 1, so the bytes are those of clamping at 0,
+    zeroing the diagonal and then :func:`_exp_dropping_tiny`."""
+    diagonal = slice(start, None, e.shape[1] + 1)
+    if e.min() >= _EXP_KEEP_MIN:
+        np.minimum(e, 0.0, out=e)
+        e.reshape(-1)[diagonal] = 0.0
+        return np.exp(e, out=e)
+    np.greater_equal(e, _EXP_KEEP_MIN, out=keep)
+    np.clip(e, _EXP_KEEP_MIN, 0.0, out=e)
+    e.reshape(-1)[diagonal] = 0.0
+    keep.reshape(-1)[diagonal] = True
+    np.exp(e, out=e)
+    return np.multiply(e, keep, out=e)
+
+
 # K(x, x) as ``gram`` writes it.
 _GRAM_DIAGONAL = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: 0.0}
 
@@ -295,9 +327,7 @@ def gaussian_self_sums(
         stop = min(start + rows, n)
         e = block[: stop - start]
         np.matmul(left[start:stop], right.T, out=e)
-        np.minimum(e, 0.0, out=e)
-        e.reshape(-1)[start :: n + 1] = 0.0
-        _exp_dropping_tiny(e, keep[: stop - start])
+        _self_kernel_block(e, start, keep[: stop - start])
         np.matmul(e, weights, out=sums[start:stop])
     total = float(sums[:, 0].sum())
     differences = centred * sums[:, :1] - sums[:, 1 : d + 1]

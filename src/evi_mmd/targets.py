@@ -3,13 +3,14 @@
 The three 2-d toys (a star-shaped five-component mixture, an eight-component
 ring mixture, and a wave-shaped density) plus an isotropic Gaussian of any
 dimension.  Densities and gradients are batched: (n, d) in, (n,) / (n, d) out.
-A mixture evaluates points with plain ufunc arithmetic and the N·L probes of
-the density-branch cross term with two matrix products and one exponential
-per probe for each group of components that share a covariance; the probes'
-per-particle sums agree with the point evaluation within a declared bound
-(:class:`GaussianMixture`).  That sweep comes in two stages: what depends on
-the offsets alone is prepared once, and each sweep of the particles reuses
-it byte for byte.
+A mixture evaluates points with plain ufunc arithmetic, all components in
+one vectorised pass that still sums in component order and coordinate
+order, and the N·L probes of the density-branch cross term with two matrix
+products and one exponential per probe for each group of components that
+share a covariance; the probes' per-particle sums agree with the point
+evaluation within a declared bound (:class:`GaussianMixture`).  That sweep
+comes in two stages: what depends on the offsets alone is prepared once, and
+each sweep of the particles reuses it byte for byte.
 """
 
 from __future__ import annotations
@@ -32,10 +33,18 @@ from .model import (
 )
 
 _WEIGHT_TOL = 1e-12
-# Points per pass of the point sweep: the pass's (d, rows) scratch buffers
-# then stay in a core's L2 cache.  On a 2 MiB-L2 Xeon, 100k 2-d points swept
-# at once ran about twice as slow as in 8192-row passes.
+# Points per pass of the point sweep: as many as keep each of its three
+# (d, K, rows) scratch buffers at _SWEEP_FLOATS floats (256 KiB), at most
+# _SWEEP_ROWS, so a pass stays in a core's L2 cache.  On a 2 MiB-L2 Xeon
+# (one BLAS thread, best of 7-15), 200 eight-ring points took 38 us against
+# 95 us one component at a time.  Large batches lose to the per-component
+# loop, whose ufunc calls each cover more points: 100k eight-ring points
+# took 97 ns a point in these 2048-row passes (92-101 from 1024 to 8192
+# rows) against 73 ns one component at a time in 8192-row passes, and a
+# four-component mixture in d = 10 took 1.9 times as long.  No sampler
+# sweeps such a batch: SVGD and Langevin sweep the N particles each step.
 _SWEEP_ROWS = 8192
+_SWEEP_FLOATS = 1 << 15
 # Bytes of one (rows, L) exponent block of the shifted sweep: its scratch and
 # output rows then stay in a core's L2 cache, and its scratch does not grow
 # with N·L.  At N = 200, L = 500 on a 2 MiB-L2 Xeon, 256 KiB blocks swept the
@@ -52,6 +61,11 @@ _BLOCK_BYTES = 1 << 18
 _SHIFT_SPREAD = 600.0
 
 
+def _sweep_rows(n_components: int, dim: int) -> int:
+    """Points per pass of a mixture's point sweep."""
+    return max(1, min(_SWEEP_ROWS, _SWEEP_FLOATS // (n_components * dim)))
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Mixture of K Gaussians with full covariances.
@@ -63,7 +77,11 @@ class GaussianMixture:
     Point evaluations (:meth:`density`, :meth:`grad_density`,
     :meth:`density_and_grad`) sum over components in component order, and
     every sum over coordinates runs in coordinate order from the j = 0 term,
-    with plain ufunc arithmetic (no einsum, no BLAS).  At d <= 2 the results
+    with plain ufunc arithmetic (no einsum, no BLAS).  Each pass evaluates
+    all K components at once on (d, K, m) arrays and reduces over them in
+    order; its bytes are those of a loop over the components that
+    accumulates 0 + c_0 + c_1 + ... and 0 - t_0 - t_1 - ...
+    (``tests/test_targets.py``).  At d <= 2 the results
     are bit-identical to the einsum formula ``pulled = einsum("nd,de->ne", x
     - mean, inv)``, ``quad = einsum("nd,nd->n", x - mean, pulled)``; at d >= 3
     einsum groups those sums differently, and the two agree to rtol 1e-13
@@ -159,31 +177,38 @@ class GaussianMixture:
 
     def _sweep(self, coords: np.ndarray, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
         """Density (m,) and transposed gradient (d, m) at the m columns of
-        ``coords``, in place in scratch buffers of (d, m) floats."""
+        ``coords``, all K components at once in scratch buffers of (d, K, m)
+        floats."""
         d, m = coords.shape
-        diff, pulled, prod = np.empty((3, d, m))
-        comp = np.empty(m)
-        dens = np.zeros(m)
-        grad_t = np.zeros((d, m)) if with_grad else None
-        for k in range(self.n_components):
-            inv = self._inv[k]
-            np.subtract(coords, self.means[k][:, None], out=diff)
-            # pulled[e] = sum_j diff[j] * inv[j, e]
-            np.multiply(diff[0], inv[0][:, None], out=pulled)
-            for j in range(1, d):
-                np.multiply(diff[j], inv[j][:, None], out=prod)
-                pulled += prod
-            # comp = norm * exp(-0.5 * sum_j diff[j] * pulled[j])
-            np.multiply(diff[0], pulled[0], out=comp)
-            for j in range(1, d):
-                comp += np.multiply(diff[j], pulled[j], out=prod[0])
-            comp *= -0.5
-            np.exp(comp, out=comp)
-            comp *= self._norm[k]
-            dens += comp
-            if with_grad:
-                grad_t -= np.multiply(comp, pulled, out=prod)
-        return dens, grad_t
+        if m == 1:
+            # With one column numpy would reduce along the components with its
+            # pairwise sum; two equal columns keep the sums sequential.
+            dens, grad_t = self._sweep(np.repeat(coords, 2, axis=1), with_grad)
+            return dens[:1], None if grad_t is None else grad_t[:, :1]
+        diff, pulled, prod = np.empty((3, d, self.n_components, m))
+        comp = np.empty((self.n_components, m))
+        np.subtract(coords[:, None, :], self.means.T[:, :, None], out=diff)
+        # pulled[e, k] = sum_j diff[j, k] * inv[k, j, e]
+        inv = self._inv.transpose(1, 2, 0)[..., None]
+        np.multiply(diff[0], inv[0], out=pulled)
+        for j in range(1, d):
+            pulled += np.multiply(diff[j], inv[j], out=prod)
+        # comp[k] = norm_k * exp(-0.5 * sum_j diff[j, k] * pulled[j, k])
+        np.multiply(diff[0], pulled[0], out=comp)
+        for j in range(1, d):
+            comp += np.multiply(diff[j], pulled[j], out=diff[j])
+        comp *= -0.5
+        np.exp(comp, out=comp)
+        comp *= self._norm[:, None]
+        # A reduce over an axis other than the last adds its slices in order,
+        # so the sums run in component order.  comp is never -0.0, so c_0 +
+        # c_1 + ... has the bytes of 0 + c_0 + c_1 + ..., and 0 - (t_0 + t_1
+        # + ...) those of 0 - t_0 - t_1 - ... (+0.0 where the sum is zero).
+        dens = np.add.reduce(comp, axis=0)
+        if not with_grad:
+            return dens, None
+        grad_t = np.add.reduce(np.multiply(comp, pulled, out=prod), axis=1)
+        return dens, np.subtract(0.0, grad_t, out=grad_t)
 
     def _at_points(self, x, with_grad: bool) -> Tuple[np.ndarray, np.ndarray]:
         # Each pass hands ``_sweep`` the transposed (d, rows) view, which its
@@ -194,8 +219,9 @@ class GaussianMixture:
             raise InvalidArgumentError(f"probes must be n x {self.dim}, got shape {x.shape}")
         vals = np.empty(x.shape[0])
         grads = np.empty_like(x) if with_grad else None
-        for start in range(0, x.shape[0], _SWEEP_ROWS):
-            chunk = slice(start, start + _SWEEP_ROWS)
+        rows = _sweep_rows(self.n_components, self.dim)
+        for start in range(0, x.shape[0], rows):
+            chunk = slice(start, start + rows)
             vals[chunk], grad_t = self._sweep(x[chunk].T, with_grad)
             if with_grad:
                 grads[chunk] = grad_t.T
@@ -302,22 +328,26 @@ class _PreparedShifts:
         left[..., d] = alpha
         left[..., d + 1] = 1.0
         sums = np.empty((n, n_live * (d + 1)))
-        # Rows per block, and components per second product (_SERIAL_PRODUCT).
         rows = max(1, _BLOCK_BYTES // (8 * n_off))
-        step = max(1, _SERIAL_PRODUCT // (rows * n_off * (d + 1)))
         block = np.empty((min(rows, n), n_off))
         keep = np.empty(block.shape, dtype=bool)
         for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
             right = self._right_one[lo] if one[p] else self._right[part_groups[p]]
             weights = self._weights_one if one[p] else self._weights
+            # Components and rows per second product (_SERIAL_PRODUCT): all
+            # of the part's components wherever one row of them fits.
+            step = max(1, min(hi - lo, _SERIAL_PRODUCT // (n_off * (d + 1))))
+            slab = max(1, _SERIAL_PRODUCT // (n_off * step * (d + 1)))
             for start in range(0, n, rows):
                 stop = min(start + rows, n)
                 e = block[: stop - start]
                 np.matmul(left[p, start:stop], right.T, out=e)
                 _exp_dropping_tiny(e, keep[: stop - start])
-                for k in range(lo, hi, step):
-                    cols = slice(k * (d + 1), min(k + step, hi) * (d + 1))
-                    np.matmul(e, weights[:, cols], out=sums[start:stop, cols])
+                out = sums[start:stop]
+                for r in range(0, stop - start, slab):
+                    for k in range(lo, hi, step):
+                        cols = slice(k * (d + 1), min(k + step, hi) * (d + 1))
+                        np.matmul(e[r : r + slab], weights[:, cols], out=out[r : r + slab, cols])
         sums = sums.reshape(n, n_live, d + 1)
         weighted = e_a.T * sums[..., 0]
         pulled_sums = weighted[..., None] * diff.transpose(1, 0, 2) + e_a.T[..., None] * sums[..., 1:]

@@ -338,7 +338,7 @@ class TestWeightedDifferences:
         )
 
 
-FAST_MIN = -708.0
+FAST_MIN = kernels._EXP_FAST_MIN
 CUTOFF = kernels._EXP_ZERO_BELOW
 
 
@@ -382,7 +382,7 @@ class TestExpSplit:
     @pytest.mark.parametrize(
         "args",
         [
-            np.linspace(-707.9, 0.0, 3000).reshape(3, -1),
+            np.linspace(FAST_MIN, 0.0, 3000).reshape(3, -1),
             np.linspace(CUTOFF - 1e4, np.nextafter(CUTOFF, -np.inf), 3000).reshape(-1, 3),
             np.linspace(-708.1, CUTOFF, 3000).reshape(3, -1),
             np.empty((0, 5)),
@@ -398,6 +398,14 @@ class TestExpSplit:
         got = split_exp(args)
         assert got.shape == args.shape
         assert got.tobytes() == np.exp(args).tobytes()
+
+    def test_band_around_the_vector_loop_edge(self):
+        # np.exp leaves its vector loop below about -707.78; the split's
+        # fast minimum sits above that edge, and the entries on either side
+        # of it get the bytes of np.exp.
+        args = np.linspace(-708.5, -706.5, 40000).reshape(-1, 8)
+        assert np.any(args < FAST_MIN) and np.any(args >= FAST_MIN)
+        assert split_exp(args).tobytes() == np.exp(args).tobytes()
 
     def test_mixed_ranges_shuffled(self):
         rng = np.random.default_rng(3)
@@ -463,8 +471,9 @@ class _RecordingNumpy:
 
 
 def test_only_the_shell_leaves_the_vector_loop(monkeypatch):
-    # The mechanism: on an h = 0.1 eight-ring Gram, the exponents below -708
-    # reach np.exp only through one compacted call on the subnormal shell.
+    # The mechanism: on an h = 0.1 eight-ring Gram, the exponents below
+    # FAST_MIN reach np.exp only through one compacted call on the shell
+    # [CUTOFF, FAST_MIN).
     pts = slow_range_points("eight")
     exponents = gaussian_exponents(pts, pts, 0.1)
     shell = (exponents < FAST_MIN) & (exponents >= CUTOFF)
@@ -476,6 +485,22 @@ def test_only_the_shell_leaves_the_vector_loop(monkeypatch):
     assert len(slow_calls) == 1
     assert slow_calls[0].size == np.count_nonzero(shell)
     assert np.all(slow_calls[0] >= CUTOFF)
+
+
+def test_vector_call_stays_above_the_slow_edge(monkeypatch):
+    # numpy's AVX-512 np.exp leaves its vector loop below about -707.78.
+    # The h = 0.1 eight-ring Gram has exponents between -708 and that edge;
+    # the full-size call must not get them.
+    edge = -707.78
+    pts = slow_range_points("eight")
+    exponents = gaussian_exponents(pts, pts, 0.1)
+    assert np.any((exponents < edge) & (exponents >= -708.0))
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(kernels, "np", recorder)
+    gram(pts, KernelConfig.gaussian(0.1))
+    vector_calls = [a for a in recorder.exp_args if a.size == exponents.size]
+    assert len(vector_calls) == 1
+    assert vector_calls[0].min() >= edge
 
 
 def longdouble_self_sums(x, h, values=None):
@@ -604,3 +629,61 @@ class TestGaussianSelfSums:
             assert run.returncode == 0, run.stderr
             digests.add(run.stdout.strip())
         assert len(digests) == 1
+
+
+def six_pass_block(e, start, keep):
+    """The self-sums' exponent block as six passes: clamp at 0, zero the
+    diagonal, then min, mask, clamp at -707, exp and mask product.  The
+    oracle of ``_self_kernel_block``, which must return its bytes."""
+    np.minimum(e, 0.0, out=e)
+    e.reshape(-1)[start :: e.shape[1] + 1] = 0.0
+    if e.min() >= -707.0:
+        return np.exp(e, out=e)
+    np.greater_equal(e, -707.0, out=keep)
+    np.maximum(e, -707.0, out=e)
+    np.exp(e, out=e)
+    return np.multiply(e, keep, out=e)
+
+
+def self_sums_bytes(x, h, v):
+    total, rows, weighted = gaussian_self_sums(x, h, v)
+    return np.float64(total).tobytes() + rows.tobytes() + weighted.tobytes()
+
+
+class TestSelfKernelBlock:
+    """The self-sums' exponent block returns the bytes of the six-pass
+    sequence, and its diagonal is exactly 1 however its exponent rounds."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["ring", "ring+far"])
+    @pytest.mark.parametrize("n", [200, 1400])
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.5, 3.0])
+    def test_bitwise_equal_to_six_passes(self, h, n, far, monkeypatch):
+        rng = np.random.default_rng(int(100 * h) + n)
+        x = eight_mixture().exact_sampler(rng, n)
+        if far:
+            # |x~| / h about 1e10: the diagonal exponent u.u - s - s rounds
+            # to a multiple of 16384, below -707 at some angles.
+            x[-1] = 1e10 * h * np.array([np.cos(4.123), np.sin(4.123)])
+        v = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        got = self_sums_bytes(x, h, v)
+        monkeypatch.setattr(kernels, "_self_kernel_block", six_pass_block)
+        assert got == self_sums_bytes(x, h, v)
+        if far:
+            # The far point's only kernel neighbour is itself.
+            assert gaussian_self_sums(x, h, v)[2][-1, 0] == 1.0
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("scale", [1.0, 100.0], ids=["kept", "dropped"])
+    def test_diagonal_below_the_keep_minimum_gives_one(self, scale, start):
+        rng = np.random.default_rng(7)
+        exponents = -scale * rng.uniform(0.0, 20.0, size=(5, 9))
+        exponents[0, 0] = 1e-3  # rounded above 0
+        exponents.reshape(-1)[start :: 10] = -16384.0
+        blocks = []
+        for block in (kernels._self_kernel_block, six_pass_block):
+            e = exponents.copy()
+            block(e, start, np.empty(e.shape, dtype=bool))
+            blocks.append(e)
+        assert blocks[0].tobytes() == blocks[1].tobytes()
+        np.testing.assert_array_equal(blocks[0].reshape(-1)[start :: 10], 1.0)
+        assert np.all(blocks[0] <= 1.0)

@@ -11,13 +11,19 @@ from evi_mmd import (
     DensityTarget,
     GaussianMixture,
     InvalidArgumentError,
+    KernelConfig,
+    LmcSchedule,
     eight_mixture,
     isotropic_gaussian,
+    lmc_run,
     mixture_sampler,
     star_mixture,
+    svgd_run,
     wave_density,
 )
 from evi_mmd import targets
+from evi_mmd.io import write_particles, write_run_record
+from evi_mmd.metrics import RunEvaluator
 from evi_mmd.model import _ProbeSweep
 from evi_mmd.targets import _BLOCK_BYTES, _SWEEP_ROWS, EIGHT_MIXTURE_MEANS
 
@@ -419,6 +425,148 @@ class TestPointSweep:
             assert grads.flags.f_contiguous == x.flags.f_contiguous
             assert mixture.density(x).tobytes() == ref_dens.tobytes()
             assert mixture.grad_density(x).tobytes() == ref_grad_t.T.tobytes()
+
+
+def loop_sweep(mixture, coords, with_grad):
+    """The point sweep one component at a time, in (d, m) scratch: the
+    oracle of the vectorised ``_sweep``, which must return its bytes."""
+    d, m = coords.shape
+    diff, pulled, prod = np.empty((3, d, m))
+    comp = np.empty(m)
+    dens = np.zeros(m)
+    grad_t = np.zeros((d, m)) if with_grad else None
+    for k in range(mixture.n_components):
+        inv = mixture._inv[k]
+        np.subtract(coords, mixture.means[k][:, None], out=diff)
+        np.multiply(diff[0], inv[0][:, None], out=pulled)
+        for j in range(1, d):
+            np.multiply(diff[j], inv[j][:, None], out=prod)
+            pulled += prod
+        np.multiply(diff[0], pulled[0], out=comp)
+        for j in range(1, d):
+            comp += np.multiply(diff[j], pulled[j], out=prod[0])
+        comp *= -0.5
+        np.exp(comp, out=comp)
+        comp *= mixture._norm[k]
+        dens += comp
+        if with_grad:
+            grad_t -= np.multiply(comp, pulled, out=prod)
+    return dens, grad_t
+
+
+def oracle_mixture(k, d, seed):
+    """A k-component mixture in d dimensions with random full covariances,
+    a zero-weight component (for k >= 2), a mean coordinate at exactly 0.0
+    and one component far from the others."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, d, d))
+    cov = a @ np.swapaxes(a, 1, 2) / d + 0.3 * np.eye(d)
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    w = rng.uniform(0.5, 1.5, size=k)
+    if k >= 2:
+        w[rng.integers(k)] = 0.0
+    means = rng.normal(scale=2.0, size=(k, d))
+    means[0, 0] = 0.0
+    means[-1] += 30.0
+    return GaussianMixture(weights=w / w.sum(), means=means, covariances=cov)
+
+
+class TestSweepAgainstLoop:
+    """The vectorised point sweep returns the bytes of the per-component
+    loop, whatever the component count, dimension, pass length or signs of
+    zero."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bitwise_equal_to_loop(self, k, d):
+        mixture = oracle_mixture(k, d, seed=10 * k + d)
+        rows = targets._sweep_rows(k, d)
+        rng = np.random.default_rng(k + 100 * d)
+        for m in sorted({1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            x = rng.normal(scale=3.0, size=(m, d))
+            x[rng.random((m, d)) < 0.1] = -0.0
+            x[::5] = 0.0
+            x[1::7] = -0.0
+            x[2::9] += 25.0  # near the far component, where most others underflow
+            for with_grad in (True, False):
+                ref_dens, ref_grad_t = loop_sweep(mixture, np.ascontiguousarray(x.T), with_grad)
+                dens, grad_t = mixture._sweep(np.ascontiguousarray(x.T), with_grad)
+                assert dens.tobytes() == ref_dens.tobytes()
+                if with_grad:
+                    assert grad_t.tobytes() == ref_grad_t.tobytes()
+                else:
+                    assert grad_t is None
+            dens, grads = mixture.density_and_grad(x)
+            ref_dens, ref_grad_t = loop_sweep(mixture, np.ascontiguousarray(x.T), True)
+            assert dens.tobytes() == ref_dens.tobytes()
+            assert grads.tobytes() == ref_grad_t.T.tobytes()
+            assert mixture.density(x).tobytes() == ref_dens.tobytes()
+
+    def test_signed_zero_gradient_sums(self):
+        # Terms that cancel exactly or underflow to +-0.0: the loop's
+        # 0 - t_0 - t_1 is +0.0 there, and so must the vectorised sum be.
+        mixture = GaussianMixture(
+            weights=np.full(2, 0.5), means=np.array([[-1.0], [1.0]]),
+            covariances=np.ones((2, 1, 1)),
+        )
+        x = np.array([[0.0, -0.0, 1e3, -1e3, 0.5]])
+        ref_dens, ref_grad_t = loop_sweep(mixture, x, True)
+        dens, grad_t = mixture._sweep(x, True)
+        assert not np.any(np.signbit(ref_grad_t[:, :4]))
+        assert grad_t.tobytes() == ref_grad_t.tobytes()
+        assert dens.tobytes() == ref_dens.tobytes()
+
+
+def run_bytes(run, tmp_path):
+    """The run-record CSV and final-particle CSV bytes of ``run()``."""
+    particles, record = run()
+    write_run_record(record, str(tmp_path / "record.csv"))
+    write_particles(particles, str(tmp_path / "particles.csv"))
+    return (
+        (tmp_path / "record.csv").read_bytes(),
+        (tmp_path / "particles.csv").read_bytes(),
+        particles.positions.tobytes(),
+    )
+
+
+class TestSweepRunBytes:
+    """SVGD and Langevin runs give the same record and particle bytes with
+    the vectorised sweep as with the per-component loop patched in."""
+
+    @staticmethod
+    def assert_same_as_loop(run, monkeypatch, tmp_path):
+        new = run_bytes(run, tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(GaussianMixture, "_sweep", loop_sweep)
+            old = run_bytes(run, tmp_path)
+        assert new == old
+
+    @pytest.mark.parametrize("make", [eight_mixture, star_mixture], ids=["eight", "star"])
+    def test_svgd_run(self, make, monkeypatch, tmp_path):
+        target = make()
+        rng = np.random.default_rng(21)
+        init = rng.uniform(*target.domain_box, size=(50, 2))
+        evaluator = RunEvaluator(target.exact_sampler(rng, 300), KernelConfig.gaussian(0.5))
+
+        def run():
+            return svgd_run(
+                target, 0.1, 0.05, 200, init, record_stride=50, evaluator=evaluator
+            )
+
+        self.assert_same_as_loop(run, monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_lmc_run(self, noise_scale, monkeypatch, tmp_path):
+        target = eight_mixture()
+        init = np.random.default_rng(22).uniform(-4.0, 4.0, size=(50, 2))
+
+        def run():
+            return lmc_run(
+                target, LmcSchedule(0.01, 1.0, 0.55), 200, np.random.default_rng(23), init,
+                noise_scale=noise_scale, record_stride=50,
+            )
+
+        self.assert_same_as_loop(run, monkeypatch, tmp_path)
 
 
 def probe_path(target, x, offsets):
