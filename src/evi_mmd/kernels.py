@@ -8,8 +8,8 @@ by ``np.einsum("ijd,ijd->ij")`` does; at d >= 3 that einsum groups its sum
 differently, and the two agree to rtol 1e-13 (``tests/test_kernels.py``).
 Gram matrices are materialized in full; particle counts in this package stay
 in the hundreds, so O(N^2 d) is fine.  (The evaluation metrics sum the
-thousands-row reference Gram block by block instead, through
-:func:`_squared_distances_into` and :func:`_kernel_from_squared`.)
+thousands-row reference Gram a tile at a time instead, with squared
+distances from matrix products; see ``metrics._kernel_means``.)
 
 The Gaussian sums over one point cloud are the exception to the coordinate
 sweep: :func:`gaussian_self_sums` takes the kernel sum, its gradient rows
@@ -25,12 +25,14 @@ self-sums turn a block of exponents into kernel values in three passes
 five (min, mask, one clip to [-707, 0], exp, mask product), with the
 diagonal set to exactly 1 (:func:`_self_kernel_block`).  Either way the
 bytes are those of a clamp at 0 followed by :func:`_exp_dropping_tiny`,
-which the shifted sweep uses.  The negative-Euclidean kernel keeps the
-sweep: its square root would turn the product form's cancellation into
-large relative errors at close pairs.
+which the shifted sweep uses.  The negative-Euclidean kernel of
+:func:`gram` and :func:`cross_gram` keeps the sweep: its square root would
+turn the product form's cancellation into large relative errors at close
+pairs.  The evaluation metrics' tiled means take the product form for both
+kernels and give the pairs it could not resolve the sweep's bytes.
 
 The exponentials of :func:`gram`, :func:`cross_gram` and the evaluation
-metrics' blocked kernel means go through :func:`_exp_inplace`, which
+metrics' tiled kernel means go through :func:`_exp_inplace`, which
 returns the bytes of ``np.exp`` but keeps arguments below -707 out of its
 vector loop: below about -707.78 ``np.exp`` takes a scalar path 15-150x
 slower per entry, and at small bandwidths most kernel entries land there.
@@ -67,10 +69,11 @@ _EXP_FAST_MIN = -707.0
 _EXP_ZERO_BELOW = -750.0
 
 # Most multiply-adds of one matrix product in a factored sweep (the Gaussian
-# square term here, the mixtures' shifted sweep in ``targets``).  OpenBLAS
-# runs a product of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default)
-# of them on one thread; a larger one may be split over threads, and its
-# bytes then depend on their number.
+# square term here, the mixtures' shifted sweep in ``targets``, the tiles of
+# the evaluation metrics' kernel means).  OpenBLAS runs a product of at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread; a
+# larger one may be split over threads, and its bytes then depend on their
+# number.
 _SERIAL_PRODUCT = 1 << 18
 # The factored sweeps set to 0 each exponential whose exponent is below
 # _EXP_KEEP_MIN: such a term is below exp(-707), about 9.1e-308.  Below about

@@ -8,92 +8,178 @@ computed by the same code as the Gaussian-kernel one; only
 :func:`mode_occupancy` uses raw distances.
 
 Every mean kernel term (1/NM) sum_ij K(x_i, y_j) comes from
-:func:`_kernel_means`, which never holds the N x M kernel matrix: it sums the
-matrix a block of at most ``_LEAF`` entries at a time, with the bytes of
-``gram(x, k).sum()`` (or ``cross_gram(x, y, k).sum()``).  numpy sums a
-contiguous float64 array by a pairwise tree: an array of n > 128 entries is
-split after n2 = n//2 - (n//2) % 8 entries and the two halves' sums are
-added.  A subtree is therefore summed exactly as ``np.add.reduce`` sums a
-1-d slice of its length, so the blocked sum splits the flattened matrix where
-numpy would, sums each leaf with numpy and adds the partial sums in the
-tree's order (``tests/test_metrics.py`` checks the bytes and the tree).
+:func:`_kernel_means`, which never holds the N x M kernel matrix: one matrix
+product per tile of at most ``_TILE_FLOATS`` pairs gives the tile's squared
+distances, every kernel's values come from that one tile, and the tile sums
+are added in order.  A self term sweeps only the tiles on and above its
+diagonal.  The means are within the bound stated there of the sums of
+:func:`gram` and :func:`cross_gram`, not byte for byte, and their bytes do
+not depend on the BLAS thread count (``tests/test_metrics.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .kernels import (
-    _GRAM_DIAGONAL,
-    _kernel_from_squared,
-    _squared_distances_into,
-    pairwise_distances,
-)
-from .model import KernelConfig, _check_sample
+from .errors import InvalidArgumentError, UnsupportedOperationError
+from .kernels import _SERIAL_PRODUCT, _exp_inplace, _squared_distances_into, pairwise_distances
+from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_sample
 
 _ENERGY_KERNEL = KernelConfig.negative_euclidean()
 
-# Kernel-matrix entries summed per leaf; each of the three row buffers holds
-# about this many floats (31 rows, 0.5 MB, at 2000 reference points).  It must
-# exceed numpy's 128-entry pairwise block so that every split below is one
-# numpy makes.  The leaf size moves a run's peak RSS through glibc's dynamic
-# mmap threshold: a 3-iteration eight-mixture run (numpy 2.4) peaked at
-# 40.8 MiB with 20k-60k entries, 42.2 with 150k and 51.1 with 600k; 60k gave
-# the fastest evaluations of those.
-_LEAF = 60_000
+# Most pairs in one tile.  The tile and the one buffer a second kernel's
+# values need hold 2 * 65536 floats (1 MiB).  The buffer sizes move a run's
+# peak RSS through glibc's dynamic mmap threshold: a 3-iteration
+# eight-mixture run (numpy 2.4) peaked at 40.2 MiB with these, against
+# 40.5 MiB with three 60k-float buffers.
+_TILE_FLOATS = 1 << 16
+
+# A tile entry whose product-form square is below this many times the
+# product form's error bound for the tile's largest norms is recomputed by
+# the coordinate formula.
+_CLOSE_FACTOR = 2.0**20
+
+
+def _tiles(n: int, m: int, d: int, self_term: bool):
+    """(r0, r1, c0, c1) tiles of an n x m sweep, rows in order: each tile
+    has at most ``_TILE_FLOATS`` entries and its product at most
+    ``_SERIAL_PRODUCT`` multiply-adds, so one BLAS thread runs it.  A self
+    term's row block [r0, r1) covers only columns [r0, m)."""
+    cap = max(1, min(_TILE_FLOATS, _SERIAL_PRODUCT // (d + 2)))
+    r0 = 0
+    while r0 < n:
+        first = r0 if self_term else 0
+        width = min(m - first, cap)
+        r1 = min(n, r0 + cap // width)
+        for c0 in range(first, m, width):
+            yield r0, r1, c0, min(c0 + width, m)
+        r0 = r1
 
 
 def _kernel_means(
     x: np.ndarray, y: Optional[np.ndarray], kernels: Sequence[KernelConfig]
 ) -> list:
-    """(1/NM) sum_ij K(x_i, y_j) for each kernel, from one squared-distance
-    sweep over the pairs; y = None pairs x with itself and sets the Gram
-    matrix's diagonal, as :func:`gram` does."""
+    """(1/NM) sum_ij K(x_i, y_j) for each kernel; y = None, or a y equal to
+    x, pairs x with itself, with K(x_i, x_i) exact.
+
+    With x~ = x - c and y~ = y - c centred on the mean c of y, each tile's
+    squared distances come from one product [-2x~ | |x~|^2 | 1] @
+    [y~ | 1 | |y~|^2]^T, as :func:`kernels.gaussian_self_sums` takes its
+    exponents.  Every tile entry below a threshold, and every entry of a tile
+    whose squared norms could overflow the product, is recomputed by the
+    coordinate formula of :func:`kernels.squared_distances`, so coincident
+    points are exactly 0 apart and a point at 1e200 gives what the
+    coordinate sweep gives.  A self term's diagonal is exactly 0, and its
+    row block [r0, r1) sums 2 (columns >= r1) + (columns [r0, r1)).  Each
+    kernel takes its values from the same tile, the Gaussian as
+    exp(sq * (-1/2h^2)) and the negative-Euclidean kernel as sqrt(sq) with
+    the sign applied once to the total, and each distinct kernel once, so a
+    kernel's mean does not depend on the others swept with it.
+
+    Declared bound.  Let eps be the float spacing at 1, s_ij the coordinate
+    formula's square for the pair and delta_ij = (3d + 12) eps (|x~_i|^2 +
+    |y~_j|^2).  Where s_ij < (2^20 - 1) delta_ij the tile takes s_ij's
+    bytes; elsewhere its square is within delta_ij of s_ij, and delta_ij
+    also covers the exponent's rounding.  So each kernel value is within
+    e_ij of the one :func:`gram` / :func:`cross_gram` give:
+
+    - Gaussian: e_ij = K_ij (expm1(z_ij) + 4 eps) + 2^-1072, with z_ij =
+      delta_ij / 2h^2, or eps s_ij / h^2 where the tile takes s_ij;
+    - negative Euclidean: e_ij = delta_ij / sqrt(s_ij) + eps sqrt(s_ij), or
+      0 where the tile takes s_ij.
+
+    The mean is within (sum_ij e_ij + eps (B + 64) sum_ij |K_ij|) / NM of the
+    exact mean of those values, B being the number of tiles; the second part
+    covers the sums within tiles and the in-order sum over them.
+    """
     if y is not None and x.shape[1] != y.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: x has d={x.shape[1]}, y has d={y.shape[1]}"
         )
-    other = x if y is None else y
-    n, m = x.shape[0], other.shape[0]
-    other_coords = np.ascontiguousarray(other.T)
-    # A leaf covers at most this many rows, its first and last ones partly.
-    rows = min(n, (_LEAF - 1) // m + 2)
-    sq, term = np.empty((rows, m)), np.empty((rows, m))
-    spare = np.empty((rows, m)) if len(kernels) > 1 else None
+    self_term = y is None or np.array_equal(x, y)
+    other = x if self_term else y
+    n, m, d = x.shape[0], other.shape[0], x.shape[1]
+    centre = other.mean(axis=0)
+    x_c = x - centre
+    x_sq = np.einsum("nd,nd->n", x_c, x_c)
+    y_c = x_c if self_term else other - centre
+    y_sq = x_sq if self_term else np.einsum("nd,nd->n", y_c, y_c)
+    left = np.column_stack([-2.0 * x_c, x_sq, np.ones(n)])
+    right = np.column_stack([y_c, np.ones(m), y_sq])
+    close_scale = _CLOSE_FACTOR * (3 * d + 12) * np.finfo(float).eps
 
-    def leaf(start: int, size: int) -> np.ndarray:
-        first = start // m
-        block = sq[: (start + size - 1) // m + 1 - first]
-        _squared_distances_into(x[first : first + block.shape[0]], other_coords, block, term)
-        sums = np.empty(len(kernels))
-        for i, kernel in enumerate(kernels):
-            # Every kernel but the last writes to the spare buffer, keeping sq.
-            out = None if i + 1 == len(kernels) else spare[: block.shape[0]]
-            values = _kernel_from_squared(block, kernel, out)
-            flat = values.reshape(-1)
-            if y is None:
-                flat[first :: m + 1] = _GRAM_DIAGONAL[kernel.kind]
-            sums[i] = flat[start - first * m :][:size].sum()
-        return sums
+    distinct = list(dict.fromkeys(kernels))
+    totals = dict.fromkeys(distinct, 0.0)
+    size = min(n * m, _TILE_FLOATS)
+    tile_buffer = np.empty(size)
+    spare = np.empty(size) if len(distinct) > 1 else None
+    # Overflowing norms make the product inf or NaN; such tiles are recomputed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0, r1, c0, c1 in _tiles(n, m, d, self_term):
+            sq = tile_buffer[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.matmul(left[r0:r1], right[c0:c1].T, out=sq)
+            # A self term's first tile of a row block holds the diagonal.
+            on_diagonal = self_term and c0 == r0
+            norms = x_sq[r0:r1].max() + y_sq[c0:c1].max()
+            # Where 4 * norms overflows, so may the product's partial sums: an
+            # infinite threshold gives the whole tile the coordinate formula.
+            threshold = norms * close_scale if 4.0 * norms < np.inf else np.inf
+            _mend_close_pairs(sq, x[r0:r1], other[c0:c1], threshold, on_diagonal)
+            for i, kernel in enumerate(distinct):
+                # Every kernel but the last writes to the spare buffer, keeping sq.
+                out = sq if i + 1 == len(distinct) else spare[: sq.size].reshape(sq.shape)
+                values = _kernel_values(sq, kernel, out)
+                totals[kernel] += _tile_sum(values, self_term, on_diagonal)
+    sign = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: -1.0}
+    return [sign[k.kind] * float(totals[k]) / (n * m) for k in kernels]
 
-    return [float(total) / (n * m) for total in _pairwise_sum(0, n * m, leaf)]
+
+def _mend_close_pairs(
+    sq: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float, on_diagonal: bool
+) -> None:
+    """Give every entry below ``threshold`` of a tile of product-form squared
+    distances between the rows of ``a`` and ``b`` the coordinate formula's
+    bytes, and the whole tile when the threshold is not finite, that is when
+    its squared norms could overflow the product; set the diagonal of a tile
+    that holds one to exactly 0."""
+    # Off the diagonal, an empty view.
+    diagonal = sq.reshape(-1)[:: sq.shape[1] + 1] if on_diagonal else sq[:0, 0]
+    if not threshold < np.inf:
+        _squared_distances_into(a, np.ascontiguousarray(b.T), sq, np.empty_like(sq))
+    else:
+        diagonal[...] = np.inf  # out of the check below
+        if sq.min() < threshold:
+            rows, cols = np.nonzero(sq < threshold)
+            a, b = a[rows], b[cols]
+            close = np.square(a[:, 0] - b[:, 0])
+            for j in range(1, a.shape[1]):
+                close += np.square(a[:, j] - b[:, j])
+            sq[rows, cols] = close
+    diagonal[...] = 0.0
 
 
-def _pairwise_sum(start: int, size: int, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Sum of entries [start, start + size) split as numpy's pairwise sum
-    splits them, with ``leaf(start, size)`` summing up to ``_LEAF`` entries.
+def _tile_sum(values: np.ndarray, self_term: bool, on_diagonal: bool) -> float:
+    """A tile's share of the total: a self term counts each pair off its
+    diagonal twice, as (j, i) too."""
+    total = values.sum()
+    rows, cols = values.shape
+    if not self_term or (on_diagonal and cols == rows):
+        return total
+    if not on_diagonal:
+        return 2.0 * total
+    return 2.0 * total - values[:, :rows].sum(axis=1).sum()
 
-    (A module-level function: a nested recursive one would be a reference
-    cycle that keeps the leaf's buffers alive until the next garbage
-    collection.)"""
-    if size <= _LEAF:
-        return leaf(start, size)
-    half = size // 2
-    half -= half % 8
-    return _pairwise_sum(start, half, leaf) + _pairwise_sum(start + half, size - half, leaf)
+
+def _kernel_values(sq: np.ndarray, kernel: KernelConfig, out: np.ndarray) -> np.ndarray:
+    """Kernel values from a tile of squared distances, written to ``out``;
+    the negative-Euclidean kernel's without their sign."""
+    if kernel.kind == GAUSSIAN:
+        return _exp_inplace(np.multiply(sq, -0.5 / kernel.bandwidth**2, out=out))
+    if kernel.kind == NEGATIVE_EUCLIDEAN:
+        return np.sqrt(sq, out=out)
+    raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 
 def _mmd2(
@@ -142,12 +228,13 @@ def mode_occupancy(particles, means) -> np.ndarray:
 class RunEvaluator:
     """Repeated two-sample evaluation against a fixed reference set.
 
-    Caches both kernels' reference-reference terms, summed block by block in
-    numpy's pairwise order (see the module docstring) so that no M x M matrix
-    is held, and with the bytes of the full Gram matrix's sum.  An evaluation
-    then costs one particle-particle and one particle-reference distance
-    sweep, shared by both kernels; results match :func:`mmd2_two_sample` /
-    :func:`energy_distance` exactly.
+    Caches the reference-reference terms of the given kernel and of the
+    negative-Euclidean one, swept tile by tile over the pairs i <= j (see
+    :func:`_kernel_means`) so that no M x M matrix is held; a negative-
+    Euclidean ``kernel`` is swept once for both.  An evaluation then costs
+    one particle-particle and one particle-reference sweep, shared by both
+    kernels, and returns the bytes of :func:`mmd2_two_sample` and
+    :func:`energy_distance`.
     """
 
     def __init__(self, reference, kernel: KernelConfig):

@@ -34,6 +34,8 @@ from evi_mmd.free_energy import density_closures
 from evi_mmd.kernels import gram, pairwise_distances, squared_distances
 from evi_mmd.metrics import RunEvaluator
 
+from test_metrics import assert_mmd2_within_bound
+
 
 class TestLmcSchedule:
     def test_paper_constants_first_step(self):
@@ -176,8 +178,10 @@ class TestEnergyDistanceRun:
 
     def test_rows_bitwise_equal_to_pairwise_formulas(self, monkeypatch):
         # The batch constant and the evaluator's energy distance are
-        # negative-Euclidean kernel sums; their bytes are those of the sums
-        # of pairwise distances the recorded rows were first computed from.
+        # negative-Euclidean kernel sums.  The batch constant keeps the bytes
+        # of the sum of pairwise distances the recorded rows were first
+        # computed from; the evaluator's is within the bound that
+        # ``metrics._kernel_means`` declares.
         rng = np.random.default_rng(6)
         data = rng.normal(size=(60, 2))
         target = EmpiricalTarget(data, minibatch_size=20)
@@ -202,11 +206,9 @@ class TestEnergyDistanceRun:
             batch_const = -float(pairwise_distances(batch, batch).sum()) / (m * m)
             assert info.report_offset.hex() == batch_const.hex()
             assert row.free_energy.hex() == (info.free_energy + batch_const).hex()
-            n = info.particles.shape[0]
-            xy = float(pairwise_distances(info.particles, reference).sum()) / (n * 40)
-            xx = float(pairwise_distances(info.particles, info.particles).sum()) / (n * n)
-            yy = float(pairwise_distances(reference, reference).sum()) / (40 * 40)
-            assert row.energy_dist_eval.hex() == (2.0 * xy - xx - yy).hex()
+            assert_mmd2_within_bound(
+                row.energy_dist_eval, info.particles, reference, KernelConfig.negative_euclidean()
+            )
 
 
 def einsum_svgd_step(pts, target, h, eta0):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,12 +19,13 @@ from evi_mmd import (
     neg_euclid_eval,
 )
 from evi_mmd import metrics
-from evi_mmd.kernels import cross_gram, gram, pairwise_distances
+from evi_mmd.kernels import cross_gram, squared_distances
 from evi_mmd.metrics import RunEvaluator
 from evi_mmd.model import GAUSSIAN
 from evi_mmd.targets import eight_mixture
 
 GAUSS1 = KernelConfig.gaussian(1.0)
+EVAL_KERNELS = (KernelConfig.gaussian(0.5), KernelConfig.negative_euclidean())
 
 
 def mmd2_triple_loop(x, y, kernel):
@@ -47,25 +51,72 @@ def energy_double_loop(x, y):
     return 2 * xy - xx - yy
 
 
-def pairwise_energy_distance(x, y):
-    """Energy distance summed straight from pairwise distances, the formula
-    it had before it became the negative-Euclidean MMD^2; its bytes are the
-    reference."""
-    n, m = x.shape[0], y.shape[0]
-    xy = float(pairwise_distances(x, y).sum()) / (n * m)
-    xx = float(pairwise_distances(x, x).sum()) / (n * n)
-    yy = float(pairwise_distances(y, y).sum()) / (m * m)
-    return 2.0 * xy - xx - yy
+EPS = np.finfo(float).eps
 
 
-def gram_mmd2(x, y, kernel):
-    """MMD^2 from the full kernel matrices' numpy sums: the bytes the
-    evaluator's blocked sums must keep."""
-    n, m = x.shape[0], y.shape[0]
-    xx = float(gram(x, kernel).sum()) / (n * n)
-    xy = float(cross_gram(x, y, kernel).sum()) / (n * m)
-    yy = float(gram(y, kernel).sum()) / (m * m)
-    return xx - 2.0 * xy + yy
+def declared_mean(x, y, kernel, rows=256):
+    """(exact, bound) for ``metrics._kernel_means(x, y, (kernel,))``: the mean
+    of the coordinate formula's kernel values (the entries of ``gram`` /
+    ``cross_gram``) summed in extended precision, and the bound that
+    ``_kernel_means`` declares on its distance from it.  Built a block of
+    rows at a time, so no N x M matrix is held."""
+    self_term = y is None or np.array_equal(x, y)
+    other = x if self_term else y
+    n, m, d = x.shape[0], other.shape[0], x.shape[1]
+    centre = other.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = np.sum((x - centre) ** 2, axis=1)
+        y_sq = np.sum((other - centre) ** 2, axis=1)
+    total = np.longdouble(0.0)
+    entry_bound = magnitude = 0.0
+    for start in range(0, n, rows):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = squared_distances(x[start : start + rows], other)
+            k = cross_gram(x[start : start + rows], other, kernel)
+            delta = (3 * d + 12) * EPS * (x_sq[start : start + rows, None] + y_sq[None, :])
+            # Entries that take the coordinate formula's bytes.
+            taken = (s < (2.0**20 - 1) * delta) | ~np.isfinite(delta)
+            if kernel.kind == GAUSSIAN:
+                z = np.where(taken, EPS * s, delta / 2) / kernel.bandwidth**2
+                e = k * (np.expm1(np.minimum(z, 700.0)) + 4 * EPS) + 2.0**-1072
+            else:
+                root = np.sqrt(s)
+                e = np.where(taken | (delta == 0), 0.0, delta / root + EPS * root)
+        total += k.astype(np.longdouble).sum()
+        entry_bound += e.sum()
+        magnitude += np.abs(k).sum()
+    tiles = len(list(metrics._tiles(n, m, d, self_term)))
+    return total / (n * m), (entry_bound + EPS * (tiles + 64) * magnitude) / (n * m)
+
+
+def assert_mean_within_bound(got, x, y, kernel):
+    exact, bound = declared_mean(x, y, kernel)
+    assert abs(np.longdouble(got) - exact) <= bound, (got, float(exact), bound)
+
+
+def assert_terms_within_bound(terms, kernels):
+    """Each (x, y) mean term of ``terms``, for every kernel, within its
+    declared bound."""
+    for x, y in terms:
+        for kernel, got in zip(kernels, metrics._kernel_means(x, y, kernels)):
+            assert_mean_within_bound(got, x, y, kernel)
+
+
+def declared_mmd2(x, y, kernel):
+    """(exact, bound) for ``mmd2_two_sample(x, y, kernel)``: the three mean
+    terms' declared bounds plus the rounding of xx - 2 xy + yy."""
+    (xx, bxx), (xy, bxy), (yy, byy) = (
+        declared_mean(x, None, kernel),
+        declared_mean(x, y, kernel),
+        declared_mean(y, None, kernel),
+    )
+    spread = abs(float(xx)) + 2 * abs(float(xy)) + abs(float(yy))
+    return xx - 2 * xy + yy, bxx + 2 * bxy + byy + 2 * EPS * spread
+
+
+def assert_mmd2_within_bound(got, x, y, kernel):
+    exact, bound = declared_mmd2(x, y, kernel)
+    assert abs(np.longdouble(got) - exact) <= bound, (got, float(exact), bound)
 
 
 def energy_cases(count=240, seed=11):
@@ -182,23 +233,25 @@ class TestEnergyDistance:
         assert energy_distance(x, y) == pytest.approx(energy_distance(y, x), abs=1e-12)
 
 
-class TestEnergyDistanceBitwise:
-    """Energy distance as the negative-Euclidean MMD^2 keeps the bytes of the
-    pairwise-distance formula."""
+class TestEnergyDistanceBound:
+    """Energy distance as the negative-Euclidean MMD^2 is within the declared
+    bound of the pairwise-distance formula, and the evaluator returns the
+    bytes of the standalone functions."""
 
     def test_energy_distance(self):
+        energy_kernel = KernelConfig.negative_euclidean()
         for x, y in energy_cases():
-            got = energy_distance(x, y)
-            assert float_bytes(got) == float_bytes(pairwise_energy_distance(x, y))
+            assert_mmd2_within_bound(energy_distance(x, y), x, y, energy_kernel)
 
     def test_run_evaluator(self):
         kernel = KernelConfig.gaussian(0.7)
+        energy_kernel = KernelConfig.negative_euclidean()
         for x, y in energy_cases(seed=12):
-            evaluator = RunEvaluator(y, kernel)
-            expect = pairwise_energy_distance(x, y)
-            mmd2, energy = evaluator.evaluate(x)
-            assert float_bytes(energy) == float_bytes(expect)
-            assert float_bytes(mmd2) == float_bytes(gram_mmd2(x, y, kernel))
+            mmd2, energy = RunEvaluator(y, kernel).evaluate(x)
+            assert_mmd2_within_bound(energy, x, y, energy_kernel)
+            assert_mmd2_within_bound(mmd2, x, y, kernel)
+            assert float_bytes(energy) == float_bytes(energy_distance(x, y))
+            assert float_bytes(mmd2) == float_bytes(mmd2_two_sample(x, y, kernel))
 
 
 class TestModeOccupancy:
@@ -245,62 +298,150 @@ class TestRunEvaluator:
         assert e == pytest.approx(energy_distance(particles, ref), abs=1e-14)
 
 
-def pairwise_tree_leaves(size):
-    """(start, size) of the leaves :func:`metrics._pairwise_sum` visits."""
-    leaves = []
-    metrics._pairwise_sum(0, size, lambda start, n: leaves.append((start, n)) or 0.0)
-    return leaves
+def close_pair_cases():
+    """(name, x, y) with exact duplicates, duplicates 1e-9 to 1e-3 apart and
+    clusters 1e8 from the centre, in d = 2, 3 and 10."""
+    for d in (2, 3, 10):
+        rng = np.random.default_rng(40 + d)
+        y = rng.normal(size=(700, d))
+        x = rng.normal(size=(120, d))
+        y[350:] = y[:350]
+        x[:60] = y[rng.choice(700, 60)]
+        yield f"duplicates-d{d}", x, y
+        for gap in (1e-9, 1e-6, 1e-3):
+            near_y = y.copy()
+            near_y[350:] += gap * rng.normal(size=(350, d))
+            near_x = x.copy()
+            near_x[:60] += gap * rng.normal(size=(60, d))
+            yield f"gap{gap:g}-d{d}", near_x, near_y
+        axis = rng.normal(size=d)
+        axis *= 1e8 / np.linalg.norm(axis)
+        sides = np.where(rng.random(700) < 0.5, -1.0, 1.0)
+        far_y = rng.normal(size=(700, d)) + sides[:, None] * axis
+        far_x = rng.normal(size=(120, d)) + axis
+        far_x[:20] = far_y[:20]
+        yield f"clusters-1e8-d{d}", far_x, far_y
+
+
+CLOSE_PAIR_CASES = list(close_pair_cases())
 
 
 class TestBlockedMeans:
-    """The reference-reference term is summed block by block, never as a full
-    M x M matrix, and keeps the bytes of that matrix's numpy sum."""
+    """Every mean kernel term is swept tile by tile, never as a full M x M
+    matrix, and is within the declared bound of that matrix's exact sum."""
 
     # 1999-2001 straddle the 2000-point reference of a run; at 1234 points
-    # most leaf boundaries fall inside a row.
+    # the tiles cut the self term's rows unevenly.
     @pytest.mark.parametrize("m", [1234, 1999, 2000, 2001])
     @pytest.mark.parametrize("d", [1, 2, 10])
     @pytest.mark.parametrize("h", [0.5, 0.05], ids=["h0.5", "h0.05-subnormal-shell"])
-    def test_bitwise_equal_to_the_full_gram_sum(self, m, d, h):
+    def test_within_the_declared_bound_of_the_full_gram_sum(self, m, d, h):
         rng = np.random.default_rng(m * 100 + d)
         y = rng.normal(scale=2.0, size=(m, d))
         x = rng.normal(scale=2.0, size=(150, d))
-        kernel = KernelConfig.gaussian(h)
-        energy_kernel = KernelConfig.negative_euclidean()
-        assert len(pairwise_tree_leaves(m * m)) > 1
-        gauss_expect = float_bytes(gram_mmd2(x, y, kernel))
-        energy_expect = float_bytes(gram_mmd2(x, y, energy_kernel))
+        kernels = (KernelConfig.gaussian(h), KernelConfig.negative_euclidean())
+        assert len(list(metrics._tiles(m, m, d, True))) > 1
+        assert_terms_within_bound(((y, None), (x, y), (x, None)), kernels)
 
-        mmd2, energy = RunEvaluator(y, kernel).evaluate(x)
-        assert float_bytes(mmd2) == gauss_expect
-        assert float_bytes(energy) == energy_expect
-        assert float_bytes(mmd2_two_sample(x, y, kernel)) == gauss_expect
-        assert float_bytes(energy_distance(x, y)) == energy_expect
+        mmd2, energy = RunEvaluator(y, kernels[0]).evaluate(x)
+        assert float_bytes(mmd2) == float_bytes(mmd2_two_sample(x, y, kernels[0]))
+        assert float_bytes(energy) == float_bytes(energy_distance(x, y))
 
-    def test_leaves_cut_rows_mid_row(self):
-        leaves = pairwise_tree_leaves(1234 * 1234)
-        assert any(start % 1234 for start, _ in leaves)
-        assert all(size <= metrics._LEAF for _, size in leaves)
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+    def test_bound_at_small_and_large_scales(self, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        y = rng.normal(scale=scale, size=(1500, 3))
+        x = rng.normal(scale=scale, size=(300, 3))
+        assert_terms_within_bound(((y, None), (x, y)), EVAL_KERNELS)
 
-    @pytest.mark.parametrize("size", [129, 1000, 8191, 8193, 65537, 1234**2, 2000**2])
-    def test_numpy_sums_by_the_pairwise_tree(self, size):
-        # The blocked sums rely on this: numpy's sum of a contiguous float64
-        # array is the sum of its two halves' sums, split after
-        # n//2 - (n//2) % 8 entries.  A numpy that sums otherwise must fail
-        # here, not change output bytes silently.
-        rng = np.random.default_rng(size)
-        a = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e5], size=size)
-        half = size // 2 - (size // 2) % 8
-        assert float_bytes(a.sum()) == float_bytes(a[:half].sum() + a[half:].sum())
-        leaf_sums = lambda start, n: a[start : start + n].sum()
-        assert float_bytes(metrics._pairwise_sum(0, size, leaf_sums)) == float_bytes(a.sum())
-        if size == 2000**2:
-            assert float_bytes(a.reshape(2000, 2000).sum()) == float_bytes(a.sum())
+    @pytest.mark.parametrize("case", CLOSE_PAIR_CASES, ids=[c[0] for c in CLOSE_PAIR_CASES])
+    def test_close_pairs_within_the_bound(self, case):
+        _, x, y = case
+        assert_terms_within_bound(((y, None), (x, y), (x, None)), EVAL_KERNELS)
+
+    def test_far_particle_keeps_a_finite_mmd2(self):
+        # A particle at 1e200 has a squared norm that overflows; its tiles take
+        # the coordinate formula, whose Gaussian values there are exactly 0.
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(50, 3))
+        x[7] = 1e200
+        y = rng.normal(size=(400, 3))
+        kernel = KernelConfig.gaussian(1.0)
+        with np.errstate(over="ignore"):
+            got = mmd2_two_sample(x, y, kernel)
+            assert np.isfinite(got)
+            assert_mmd2_within_bound(got, x, y, kernel)
+            assert float_bytes(RunEvaluator(y, kernel).evaluate(x)[0]) == float_bytes(got)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_energy_distance_of_a_copy_is_exactly_zero(self, duplicates):
+        rng = np.random.default_rng(10)
+        x = rng.normal(scale=3.0, size=(900, 2))
+        if duplicates:
+            x[450:] = x[:450]
+        assert energy_distance(x, x.copy()) == 0.0
+        assert mmd2_two_sample(x, x.copy(), KernelConfig.gaussian(0.3)) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_evaluator_bitwise_equal_to_standalone_metrics(self, d):
+        rng = np.random.default_rng(20 + d)
+        reference = rng.normal(size=(2000, d))
+        particles = rng.normal(size=(200, d)) + 0.3
+        kernel = KernelConfig.gaussian(0.5)
+        mmd2, energy = RunEvaluator(reference, kernel).evaluate(particles)
+        assert float_bytes(mmd2) == float_bytes(mmd2_two_sample(particles, reference, kernel))
+        assert float_bytes(energy) == float_bytes(energy_distance(particles, reference))
+
+    def test_energy_kernel_swept_once_for_both_slots(self, monkeypatch):
+        calls = []
+        values = metrics._kernel_values
+
+        def counted(sq, kernel, out):
+            calls.append(kernel)
+            return values(sq, kernel, out)
+
+        monkeypatch.setattr(metrics, "_kernel_values", counted)
+        reference = np.random.default_rng(11).normal(size=(600, 2))
+        evaluator = RunEvaluator(reference, KernelConfig.negative_euclidean())
+        assert len(calls) == len(list(metrics._tiles(600, 600, 2, True)))
+        mmd2, energy = evaluator.evaluate(reference[:100] + 0.5)
+        assert float_bytes(mmd2) == float_bytes(energy)
+        assert float_bytes(energy) == float_bytes(energy_distance(reference[:100] + 0.5, reference))
+
+    def test_bytes_independent_of_blas_threads(self):
+        # At M = 2000 one product over all rows would be millions of
+        # multiply-adds, which OpenBLAS may split over threads; the tiles
+        # keep each at most _SERIAL_PRODUCT.  BLAS reads its thread count at
+        # import, so each count gets a fresh interpreter.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from evi_mmd.metrics import RunEvaluator\n"
+            "from evi_mmd.model import KernelConfig\n"
+            "rng = np.random.default_rng(4)\n"
+            "parts = []\n"
+            "for d in (2, 10):\n"
+            "    reference = rng.normal(scale=2.0, size=(2000, d))\n"
+            "    evaluator = RunEvaluator(reference, KernelConfig.gaussian(0.5))\n"
+            "    parts += list(evaluator._yy) + list(evaluator.evaluate(reference[:300] + 0.1))\n"
+            "print(hashlib.sha256(np.array(parts).tobytes()).hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("h", [0.5, 0.05])
     def test_evaluator_memory_peak(self, h):
-        # The full Gram matrices took 34.6 MiB here; the blocked sums hold
-        # three 31 x 2000 buffers (1.5 MiB) and the per-block temporaries.
+        # The full Gram matrices took 34.6 MiB here; the tiled sums hold two
+        # 65536-float tile buffers (1 MiB) and the per-tile temporaries.
         reference = eight_mixture().exact_sampler(np.random.default_rng(0), 2000)
         particles = reference[:200].copy()
         tracemalloc.start()
