@@ -162,15 +162,10 @@ def _squared_difference(a_j: np.ndarray, b_j: np.ndarray, out: np.ndarray) -> np
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, computed as sqrt of squared norms
-    clamped at zero so round-off cannot leak under the sqrt."""
-    return _clamped_sqrt(squared_distances(a, b))
-
-
-def _clamped_sqrt(sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(max(sq, 0)) into ``out`` (in place by default)."""
-    out = np.maximum(sq, 0.0, out=sq if out is None else out)
-    return np.sqrt(out, out=out)
+    """Pairwise Euclidean distances, the square roots of
+    :func:`squared_distances`."""
+    sq = squared_distances(a, b)
+    return np.sqrt(sq, out=sq)
 
 
 def _exp_inplace(out: np.ndarray) -> np.ndarray:
@@ -202,14 +197,16 @@ def _kernel_from_squared(
 ) -> np.ndarray:
     """Kernel values from C-contiguous squared distances, written to ``out``
     (in place by default); ``sq`` is left unchanged when ``out`` is another
-    buffer."""
+    buffer.  No entry of ``sq`` is negative: the coordinate sweep sums
+    squares, and the metrics' tiles recompute their negative entries, so
+    the square root needs no clamp."""
     out = sq if out is None else out
     if kernel.kind == GAUSSIAN:
         # Same bytes as negating first: IEEE division is sign-symmetric.
         np.divide(sq, -2.0 * kernel.bandwidth**2, out=out)
         return _exp_inplace(out)
     if kernel.kind == NEGATIVE_EUCLIDEAN:
-        return np.negative(_clamped_sqrt(sq, out), out=out)
+        return np.negative(np.sqrt(sq, out=out), out=out)
     raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 

@@ -23,9 +23,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedOperationError
-from .kernels import _SERIAL_PRODUCT, _exp_inplace, _squared_distances_into, pairwise_distances
-from .model import GAUSSIAN, NEGATIVE_EUCLIDEAN, KernelConfig, _check_sample
+from .errors import InvalidArgumentError
+from .kernels import (
+    _SERIAL_PRODUCT,
+    _kernel_from_squared,
+    _squared_distances_into,
+    pairwise_distances,
+)
+from .model import KernelConfig, _check_sample
 
 _ENERGY_KERNEL = KernelConfig.negative_euclidean()
 
@@ -73,26 +78,50 @@ def _kernel_means(
     points are exactly 0 apart and a point at 1e200 gives what the
     coordinate sweep gives.  A self term's diagonal is exactly 0, and its
     row block [r0, r1) sums 2 (columns >= r1) + (columns [r0, r1)).  Each
-    kernel takes its values from the same tile, the Gaussian as
-    exp(sq * (-1/2h^2)) and the negative-Euclidean kernel as sqrt(sq) with
-    the sign applied once to the total, and each distinct kernel once, so a
-    kernel's mean does not depend on the others swept with it.
+    kernel takes its values from the same tile through
+    :func:`kernels._kernel_from_squared`, the function :func:`gram` uses,
+    and each distinct kernel is swept once, so a kernel's mean does not
+    depend on the others swept with it.
 
-    Declared bound.  Let eps be the float spacing at 1, s_ij the coordinate
-    formula's square for the pair and delta_ij = (3d + 12) eps (|x~_i|^2 +
-    |y~_j|^2).  Where s_ij < (2^20 - 1) delta_ij the tile takes s_ij's
-    bytes; elsewhere its square is within delta_ij of s_ij, and delta_ij
-    also covers the exponent's rounding.  So each kernel value is within
-    e_ij of the one :func:`gram` / :func:`cross_gram` give:
+    Declared bound.  Let eps be the float spacing at 1, u = eps/2 the unit
+    roundoff, N_ij = |x~_i|^2 + |y~_j|^2, s_ij the coordinate formula's
+    square for the pair, P_ij the tile's and delta_ij = (3d + 12) eps N_ij.
+    An n-term dot product is within n u of the sum of its terms' magnitudes,
+    in any order and with or without fused multiply-adds.  To first order:
 
-    - Gaussian: e_ij = K_ij (expm1(z_ij) + 4 eps) + 2^-1072, with z_ij =
-      delta_ij / 2h^2, or eps s_ij / h^2 where the tile takes s_ij;
-    - negative Euclidean: e_ij = delta_ij / sqrt(s_ij) + eps sqrt(s_ij), or
-      0 where the tile takes s_ij.
+    - the product's exact value is |x~_i - y~_j|^2.  The norms in it carry
+      d u N_ij, and its d + 2 terms, whose magnitudes sum to at most
+      2 N_ij, (d + 2) u 2 N_ij: (1.5d + 2) eps N_ij in all;
+    - centring rounds each coordinate of x_i - c and y_j - c once, which
+      moves the exact square by at most 2u (|x~_i| + |y~_j|)^2 <= 2 eps N_ij;
+    - the coordinate formula rounds each coordinate's difference and square
+      and the d - 1 additions, (d + 2) u |x_i - y_j|^2 <= (d + 2) eps N_ij.
 
-    The mean is within (sum_ij e_ij + eps (B + 64) sum_ij |K_ij|) / NM of the
-    exact mean of those values, B being the number of tiles; the second part
-    covers the sums within tiles and the in-order sum over them.
+    So |P_ij - s_ij| <= (2.5d + 6) eps N_ij.  Dividing by -2h^2 rounds
+    P_ij and s_ij once each, by at most (P_ij + s_ij) u / 2h^2 <=
+    2 eps N_ij / 2h^2, so the Gaussian exponents differ by at most
+    (2.5d + 8) eps N_ij / 2h^2.  The other 0.5d + 4 of delta_ij absorbs the
+    second-order terms and the rounding of the threshold, which is 2^20
+    delta_ij or more: where s_ij < (2^20 - 1) delta_ij the tile takes s_ij's
+    bytes, and its kernel value is exactly that of :func:`gram` /
+    :func:`cross_gram`.  Elsewhere the value is within e_ij of it:
+
+    - Gaussian: e_ij = K_ij (expm1(delta_ij / 2h^2) + 4 eps) + 2^-1072, the
+      last two terms for two exponentials within 2 ulp each, normal or
+      subnormal (spacing 2^-1074);
+    - negative Euclidean: e_ij = delta_ij / sqrt(s_ij) + eps sqrt(s_ij),
+      as |sqrt(P) - sqrt(s)| <= |P - s| / sqrt(s), plus two roundings.
+
+    The mean is within (sum_ij e_ij + eps (B + 72) sum_ij |K_ij|) / NM of the
+    exact mean of those values, B being the number of tiles.  numpy sums at
+    most 2^16 values pairwise within 40u of their magnitudes' sum (leaves of
+    at most 128 values through eight accumulators, 25 roundings deep, at
+    most 10 halvings or 6 halvings and 7 buffer additions), and a diagonal
+    tile's own block, summed by rows of at most 256 values, within 54u.  A
+    diagonal tile's 2 (whole) - (own block) then comes within 135u = 67.5
+    eps of its pairs' magnitudes, the in-order sum over tiles within (B -
+    1) u and the division by NM within u: (67.5 + B/2) eps in all, and the
+    rest of eps (B + 72) absorbs the second-order terms.
     """
     if y is not None and x.shape[1] != y.shape[1]:
         raise InvalidArgumentError(
@@ -130,10 +159,9 @@ def _kernel_means(
             for i, kernel in enumerate(distinct):
                 # Every kernel but the last writes to the spare buffer, keeping sq.
                 out = sq if i + 1 == len(distinct) else spare[: sq.size].reshape(sq.shape)
-                values = _kernel_values(sq, kernel, out)
+                values = _kernel_from_squared(sq, kernel, out)
                 totals[kernel] += _tile_sum(values, self_term, on_diagonal)
-    sign = {GAUSSIAN: 1.0, NEGATIVE_EUCLIDEAN: -1.0}
-    return [sign[k.kind] * float(totals[k]) / (n * m) for k in kernels]
+    return [float(totals[k]) / (n * m) for k in kernels]
 
 
 def _mend_close_pairs(
@@ -170,16 +198,6 @@ def _tile_sum(values: np.ndarray, self_term: bool, on_diagonal: bool) -> float:
     if not on_diagonal:
         return 2.0 * total
     return 2.0 * total - values[:, :rows].sum(axis=1).sum()
-
-
-def _kernel_values(sq: np.ndarray, kernel: KernelConfig, out: np.ndarray) -> np.ndarray:
-    """Kernel values from a tile of squared distances, written to ``out``;
-    the negative-Euclidean kernel's without their sign."""
-    if kernel.kind == GAUSSIAN:
-        return _exp_inplace(np.multiply(sq, -0.5 / kernel.bandwidth**2, out=out))
-    if kernel.kind == NEGATIVE_EUCLIDEAN:
-        return np.sqrt(sq, out=out)
-    raise UnsupportedOperationError(f"unknown kernel kind {kernel.kind!r}")
 
 
 def _mmd2(

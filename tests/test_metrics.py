@@ -77,8 +77,8 @@ def declared_mean(x, y, kernel, rows=256):
             # Entries that take the coordinate formula's bytes.
             taken = (s < (2.0**20 - 1) * delta) | ~np.isfinite(delta)
             if kernel.kind == GAUSSIAN:
-                z = np.where(taken, EPS * s, delta / 2) / kernel.bandwidth**2
-                e = k * (np.expm1(np.minimum(z, 700.0)) + 4 * EPS) + 2.0**-1072
+                z = np.minimum(delta / 2 / kernel.bandwidth**2, 700.0)
+                e = np.where(taken, 0.0, k * (np.expm1(z) + 4 * EPS) + 2.0**-1072)
             else:
                 root = np.sqrt(s)
                 e = np.where(taken | (delta == 0), 0.0, delta / root + EPS * root)
@@ -86,7 +86,7 @@ def declared_mean(x, y, kernel, rows=256):
         entry_bound += e.sum()
         magnitude += np.abs(k).sum()
     tiles = len(list(metrics._tiles(n, m, d, self_term)))
-    return total / (n * m), (entry_bound + EPS * (tiles + 64) * magnitude) / (n * m)
+    return total / (n * m), (entry_bound + EPS * (tiles + 72) * magnitude) / (n * m)
 
 
 def assert_mean_within_bound(got, x, y, kernel):
@@ -394,13 +394,13 @@ class TestBlockedMeans:
 
     def test_energy_kernel_swept_once_for_both_slots(self, monkeypatch):
         calls = []
-        values = metrics._kernel_values
+        values = metrics._kernel_from_squared
 
         def counted(sq, kernel, out):
             calls.append(kernel)
             return values(sq, kernel, out)
 
-        monkeypatch.setattr(metrics, "_kernel_values", counted)
+        monkeypatch.setattr(metrics, "_kernel_from_squared", counted)
         reference = np.random.default_rng(11).normal(size=(600, 2))
         evaluator = RunEvaluator(reference, KernelConfig.negative_euclidean())
         assert len(calls) == len(list(metrics._tiles(600, 600, 2, True)))
@@ -409,10 +409,12 @@ class TestBlockedMeans:
         assert float_bytes(energy) == float_bytes(energy_distance(reference[:100] + 0.5, reference))
 
     def test_bytes_independent_of_blas_threads(self):
-        # At M = 2000 one product over all rows would be millions of
-        # multiply-adds, which OpenBLAS may split over threads; the tiles
-        # keep each at most _SERIAL_PRODUCT.  BLAS reads its thread count at
-        # import, so each count gets a fresh interpreter.
+        # No BLAS call in the sweep may split a reduction over threads: a
+        # tile sum taken as a BLAS dot product, which OpenBLAS splits above
+        # 10000 entries, changes the bytes here.  The tiles' products keep
+        # each entry's d + 2 terms on one thread at any thread count.  BLAS
+        # reads its thread count at import, so each count gets a fresh
+        # interpreter.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
